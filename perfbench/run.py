@@ -5,14 +5,16 @@
 
 Run from the root of a checkout.  Every round of a workload runs in its
 own fresh interpreter (``worker.py``), so famop's module caches start cold
-as they do for every user; rounds repeat until ``--seconds`` have passed.
+as they do for every user; rounds repeat while the middle of the next one
+is expected within ``--seconds``.
 Load is one single-threaded process at a time, and ``cli_cold`` runs one
 ``famop`` child at a time.
 
-``--trace 0`` reports the end-to-end metrics of BENCHMARK.json: medians
-over rounds, task percentiles over the pooled task latencies, and
-``setup_s`` as the median of fresh ``import famop`` probes made before
-every round.
+``--trace 0`` reports the end-to-end metrics of BENCHMARK.json: the
+fastest round's ``wall_s``, task percentiles over each task's fastest
+repeat, the median ``peak_rss_mb`` over rounds, and ``setup_s`` as the
+median over ``SETUP_PROBES`` fresh ``import famop`` probes, each the
+fastest of its repeats before every round and after the last.
 ``--trace 1`` runs one untraced round, then traced rounds, and reports the
 per-layer metrics.  The last line of standard output is the JSON result;
 the lines before it give the run facts, every metric with its unit and
@@ -37,7 +39,7 @@ BENCH = os.path.dirname(os.path.abspath(__file__))
 ROOT = os.path.dirname(BENCH)
 SRC = os.path.join(ROOT, "src")
 OUT = os.path.join(ROOT, ".perfbench_out")
-SETUP_PROBES = 5           # per round
+SETUP_PROBES = 5           # per batch; a batch runs before every round
 ROUND_TIMEOUT_S = 150
 
 
@@ -82,14 +84,23 @@ def run_facts(seed: int) -> dict:
 
 def repeated_rounds(args: tuple, seconds: float, start: float,
                     probes: list | None = None) -> list:
-    """Rounds until ``seconds`` have passed since ``start`` (at least one).
-    With ``probes``, each round is preceded by set-up probes, so that they
-    are spread over the whole run."""
-    rounds = []
-    while not rounds or time.monotonic() - start < seconds:
+    """At least one round, then another while the middle of the next one
+    (at the median round time so far) lies within ``seconds`` of
+    ``start``; so runs measure about ``seconds`` whatever a round takes.
+    With ``probes``, a batch of set-up probes runs before every round and
+    after the last, spread over the whole run."""
+    def probe():
         if probes is not None:
-            probes.extend(spawn("--probe")["setup_s"] for _ in range(SETUP_PROBES))
+            probes.append([spawn("--probe")["setup_s"] for _ in range(SETUP_PROBES)])
+
+    rounds, took = [], []
+    while not rounds or (time.monotonic() - start
+                         + statistics.median(took) / 2 <= seconds):
+        began = time.monotonic()
+        probe()
         rounds.append(spawn(*args))
+        took.append(time.monotonic() - began)
+    probe()
     return rounds
 
 
@@ -105,11 +116,31 @@ def gate(rounds: list) -> tuple:
     return attempted, failures, correct
 
 
+def best_latencies(rounds: list) -> list:
+    """Each task's fastest latency over its repeats in all rounds.
+
+    The host shares its cores with other machines, and for seconds at a
+    time a core runs at about half speed.  A task's repeats lie seconds
+    apart, so the fastest of them is mostly taken at full speed, while a
+    pooled percentile moves with the share of slow seconds in the run."""
+    best: dict = {}
+    for r in rounds:
+        for key, x in zip(r["keys"], r["latencies"]):
+            best[key] = min(x, best.get(key, x))
+    return list(best.values())
+
+
+def best_setup(batches: list) -> float:
+    """The median over the probes of a batch, each probe being the fastest
+    of its repeats in the batches (for the reason given above)."""
+    return statistics.median(min(repeats) for repeats in zip(*batches))
+
+
 def end_to_end(rounds: list, probes: list) -> dict:
-    latencies = [x for r in rounds for x in r["latencies"]]
+    latencies = best_latencies(rounds)
     return {
-        "setup_s": statistics.median(probes + [r["setup_s"] for r in rounds]),
-        "wall_s": statistics.median(r["wall_s"] for r in rounds),
+        "setup_s": best_setup(probes),
+        "wall_s": min(r["wall_s"] for r in rounds),
         "task_p50_ms": statistics.median(latencies) * 1e3,
         "task_p90_ms": statistics.quantiles(latencies, n=10)[-1] * 1e3,
         "peak_rss_mb": statistics.median(r["peak_rss_mb"] for r in rounds),
@@ -155,6 +186,7 @@ def run_workload(name: str, seed: int, seconds: float, trace: bool,
     facts["tasks_per_round"] = rounds[0]["attempted"]
     facts["rounds"] = len(rounds)
     facts["task_samples"] = sum(len(r["latencies"]) for r in rounds)
+    facts["distinct_tasks"] = len(set(rounds[0]["keys"]))
     # Seed-independent tasks, in an order that does not depend on the seed.
     fixed = sorted((label, json.dumps(w, sort_keys=True)) for label, w, f in
                    zip(rounds[0]["labels"], rounds[0]["work"], rounds[0]["fixed"]) if f)
@@ -197,7 +229,7 @@ def print_report(report: dict, result: dict) -> None:
     if not report["trace"]:
         print(f"{report['workload']} fail_ratio = {report['metrics']['fail_ratio']:.6g} "
               f"failed/attempted ({result['failed']}/{result['attempted']}); "
-              f"p90 has {report['facts']['task_samples'] // 10} samples beyond it")
+              f"p90 has {report['facts']['distinct_tasks'] // 10} tasks beyond it")
     else:
         import tracing
         for metric, _n, _t, _p, figure, note in tracing.BASELINE:

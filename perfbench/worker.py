@@ -29,6 +29,12 @@ SRC = os.path.join(ROOT, "src")
 OUT = os.path.join(ROOT, ".perfbench_out")
 
 
+def _task_keys(tasks) -> list:
+    """Each listing's task, as the index of that task's first listing."""
+    first: dict = {}
+    return [first.setdefault(id(task), i) for i, task in enumerate(tasks)]
+
+
 def run_round(workload: str, seed: int, trace: bool, tmpdir: str) -> dict:
     import tracing
     import workloads
@@ -72,6 +78,7 @@ def run_round(workload: str, seed: int, trace: bool, tmpdir: str) -> dict:
            "peak_rss_mb": resource.getrusage(who).ru_maxrss / 1024,
            "attempted": len(tasks), "failures": failures, "work": work,
            "fixed": [task.fixed for task in tasks],
+           "keys": _task_keys(tasks),
            "labels": [task.label for task in tasks]}
     if tracer:
         processes = [tracer.spans]
