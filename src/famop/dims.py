@@ -9,11 +9,11 @@ trees avoiding the three forbidden left-child patterns.
 """
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 
 from .errors import ResourceBoundError
 from .report import LawReport
+from .trees import catalan
 
 
 @dataclass(frozen=True)
@@ -120,13 +120,6 @@ class PolySeries:
         if not 1 <= n <= self.order:
             raise ValueError(f"n must be in 1..{self.order}")
         return self.polys[n - 1]
-
-
-def catalan(k: int) -> int:
-    """Catalan numbers with catalan(1) = catalan(2) = 1, catalan(3) = 2."""
-    if k < 1:
-        raise ValueError("index must be >= 1")
-    return math.comb(2 * k - 2, k - 1) // k
 
 
 def r_sequence(order: int) -> PolySeries:

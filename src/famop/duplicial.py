@@ -21,7 +21,7 @@ from dataclasses import dataclass
 
 from . import trees
 from .errors import PreconditionError
-from .omega import OmegaStructure, passes
+from .omega import OmegaStructure, first_violation, passes
 from .report import LawReport
 from .trees import Node, serialize
 
@@ -63,38 +63,14 @@ class SymbolicOps:
 
 
 _SYM = SymbolicOps()
-_OP_INDEX = {"la": 0, "ra": 1, "lt": 2, "rt": 3}
-
-
-def _expr_vars(e, acc: list):
-    if isinstance(e, Var):
-        if e.name not in acc:
-            acc.append(e.name)
-    elif isinstance(e, App):
-        _expr_vars(e.a, acc)
-        _expr_vars(e.b, acc)
-
-
-def _compile(e, index: dict):
-    if isinstance(e, Var):
-        i = index[e.name]
-        return lambda tabs, env: env[i]
-    if isinstance(e, App):
-        fa = _compile(e.a, index)
-        fb = _compile(e.b, index)
-        k = _OP_INDEX[e.op]
-        return lambda tabs, env: tabs[k][fa(tabs, env)][fb(tabs, env)]
-    return lambda tabs, env: e
 
 
 def _rename(e, mapping: dict):
+    """The expression as an omega term; ``mapping`` numbers the variable
+    names in order of first appearance."""
     if isinstance(e, Var):
-        if e.name not in mapping:
-            mapping[e.name] = f"v{len(mapping)}"
-        return Var(mapping[e.name])
-    if isinstance(e, App):
-        return App(e.op, _rename(e.a, mapping), _rename(e.b, mapping))
-    return e
+        return mapping.setdefault(e.name, len(mapping))
+    return (e.op, _rename(e.a, mapping), _rename(e.b, mapping))
 
 
 # ---------------------------------------------------------------------------
@@ -265,12 +241,8 @@ _MODE_PARAMS = {"two_param": 3, "one_param": 2}
 
 @dataclass
 class _Obligation:
-    law_id: str
-    lhs: object
-    rhs: object
-    var_names: tuple
-    f_lhs: object
-    f_rhs: object
+    law: tuple  # (law id, lhs, rhs) as omega terms
+    var_names: tuple  # the symbolic name of each term variable
     origin: tuple  # (s_sym, t_sym, u_sym, param names)
 
 
@@ -316,15 +288,18 @@ def _collect_type_pairs(l, r, out: list):
 _OBLIGATION_CACHE: dict = {}
 
 
-def _obligations(mode: str, max_vertices: int, x_size: int) -> list[_Obligation]:
-    key = (mode, max_vertices, x_size)
+def _obligations(mode: str, max_vertices: int) -> list[_Obligation]:
+    """The distinct per-edge type equations of the mode's laws over all
+    tree triples up to the vertex bound.  Decorations never enter a type
+    equation, so the shapes carry a single one."""
+    key = (mode, max_vertices)
     if key in _OBLIGATION_CACHE:
         return _OBLIGATION_CACHE[key]
     pair = mode == "two_param"
     flavor = "pair" if pair else "single"
     shapes = []
     for n in range(1, max_vertices + 1):
-        shapes.extend(trees.enumerate_trees(n, x_size, 1, flavor))
+        shapes.extend(trees.enumerate_trees(n, 1, 1, flavor))
     params = [Var("pa"), Var("pb"), Var("pc")]
     seen = set()
     out = []
@@ -342,18 +317,12 @@ def _obligations(mode: str, max_vertices: int, x_size: int) -> list[_Obligation]
                         if e1 == e2:
                             continue
                         mapping: dict = {}
-                        ck = (_rename(e1, mapping), _rename(e2, mapping))
-                        if ck in seen:
+                        terms = (_rename(e1, mapping), _rename(e2, mapping))
+                        if terms in seen:
                             continue
-                        seen.add(ck)
-                        names: list = []
-                        _expr_vars(e1, names)
-                        _expr_vars(e2, names)
-                        index = {nm: i for i, nm in enumerate(names)}
-                        out.append(_Obligation(
-                            law_id, e1, e2, tuple(names),
-                            _compile(e1, index), _compile(e2, index),
-                            (s, t, u, ("pa", "pb", "pc"))))
+                        seen.add(terms)
+                        out.append(_Obligation((law_id,) + terms, tuple(mapping),
+                                               (s, t, u, ("pa", "pb", "pc"))))
     _OBLIGATION_CACHE[key] = out
     return out
 
@@ -380,7 +349,7 @@ def _concrete_witness(mode: str, ob: _Obligation, env: dict, o: OmegaStructure):
     t = _instantiate(t_sym, env)
     u = _instantiate(u_sym, env)
     ps = tuple(env.get(p, 0) for p in pnames)
-    law = dict(_MODE_LAWS[mode])[ob.law_id]
+    law = dict(_MODE_LAWS[mode])[ob.law[0]]
     lhs, rhs = law(s, t, u, *ps, o)
     if lhs == rhs:
         raise AssertionError("symbolic failure did not reproduce concretely")
@@ -388,22 +357,20 @@ def _concrete_witness(mode: str, ob: _Obligation, env: dict, o: OmegaStructure):
     return (serialize(s), serialize(t), serialize(u)) + ps[:n_params]
 
 
-def _check_factored(mode: str, o: OmegaStructure, x_size: int, max_vertices: int,
+def _check_factored(mode: str, o: OmegaStructure, max_vertices: int,
                     first_witness_only: bool) -> LawReport:
     report = LawReport(kind=mode)
-    obligations = _obligations(mode, max_vertices, x_size)
-    tabs = (o.left_arrow, o.right_arrow, o.left_tri, o.right_tri)
-    w = o.size
+    obligations = _obligations(mode, max_vertices)
+    tables = {"la": o.left_arrow, "ra": o.right_arrow,
+              "lt": o.left_tri, "rt": o.right_tri}
     for ob in obligations:
-        f1, f2 = ob.f_lhs, ob.f_rhs
-        for env_vals in itertools.product(range(w), repeat=len(ob.var_names)):
-            if f1(tabs, env_vals) != f2(tabs, env_vals):
-                env = dict(zip(ob.var_names, env_vals))
-                report.add(ob.law_id, _concrete_witness(mode, ob, env, o))
-                if first_witness_only:
-                    report.details["obligations"] = len(obligations)
-                    return report
-                break  # one witness per obligation is enough for a report
+        found = first_violation((ob.law,), tables, o.size)
+        if found is not None:
+            env = dict(zip(ob.var_names, found[1]))
+            report.add(ob.law[0], _concrete_witness(mode, ob, env, o))
+            if first_witness_only:
+                report.details["obligations"] = len(obligations)
+                return report
     report.details["obligations"] = len(obligations)
     report.details["max_vertices"] = max_vertices
     return report
@@ -492,7 +459,7 @@ def check_axioms(mode: str, o: OmegaStructure, x_size: int = 1,
         return _check_graded(o, x_size, max_vertices, first_witness_only)
     if mode not in _MODE_LAWS:
         raise ValueError(f"unknown mode {mode!r}")
-    return _check_factored(mode, o, x_size, max_vertices, first_witness_only)
+    return _check_factored(mode, o, max_vertices, first_witness_only)
 
 
 # ---------------------------------------------------------------------------

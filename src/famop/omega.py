@@ -6,14 +6,14 @@ diassociative and duplicial semigroups, optionally two triangles
 (``lt``/``rt``) for extended duplicial semigroups, or a single table for
 plain magmas (associative, twist-associative, NAP+NAP', perm).
 
-Everything is exact and exhaustive: law checks scan all triples of the
-carrier, enumeration scans the full table space.  Two symbolic infinite
+Everything is exact and exhaustive: laws are tuple terms compiled to
+straight-line checks over all triples of the carrier, and enumeration
+backtracks over the table cells with the same checks.  Two symbolic infinite
 models are provided as well: twisted monomials and multisets of positive
 integers.
 """
 from __future__ import annotations
 
-import itertools
 import os
 from dataclasses import dataclass
 from functools import lru_cache
@@ -216,11 +216,102 @@ def _tables_of(s, kind: str) -> dict:
     return tables
 
 
-def _eval_term(term, tables, args):
+def eval_term(term, tables: dict, env):
+    """Value of one term at one point: ``env[v]`` is the value of variable
+    ``v``, ``tables[op]`` the table of operation ``op``."""
     if isinstance(term, int):
-        return args[term]
+        return env[term]
     op, l, r = term
-    return tables[op][_eval_term(l, tables, args)][_eval_term(r, tables, args)]
+    return tables[op][eval_term(l, tables, env)][eval_term(r, tables, env)]
+
+
+# ---------------------------------------------------------------------------
+# The law compiler
+
+
+def _depth(term) -> int:
+    """The innermost loop a term's value depends on: its largest variable."""
+    if isinstance(term, int):
+        return term
+    return max(_depth(term[1]), _depth(term[2]))
+
+
+@lru_cache(maxsize=512)
+def compile_laws(laws):
+    """Compile laws ``(id, lhs, rhs)`` over variables ``0..k-1`` into one
+    straight-line checker.
+
+    Returns ``(ops, check)`` with ``ops`` the sorted operation names.
+    ``check(out, size, *tables)`` takes one table per name in ``ops`` and
+    runs ``k`` nested loops over ``range(size)``, variable 0 outermost.
+    Subterms shared between laws are computed once, and each row lookup
+    sits in the outermost loop whose variables it reads.  An instance is
+    violated when its two sides differ and neither equals ``size``: tables
+    padded by one row and column of ``size`` absorb unknown cells, so the
+    same check prunes partial tables.  With ``out`` None, ``check`` returns
+    the first violation ``(law index, args)`` in lex order of ``args``, or
+    None; otherwise it appends every violation to ``out``, laws in order
+    within one ``args``.
+
+    Only indices reach the generated source; operation names and law ids,
+    which may come from user input, never do.
+    """
+    used: set = set()
+    k = 0
+
+    def scan(term):
+        nonlocal k
+        if isinstance(term, int):
+            if term < 0:
+                raise ValueError(f"variable {term} is negative")
+            k = max(k, term + 1)
+            return
+        used.add(term[0])
+        scan(term[1])
+        scan(term[2])
+
+    for _, lhs, rhs in laws:
+        scan(lhs)
+        scan(rhs)
+    ops = sorted(used)
+    body: list = [[] for _ in range(k)]  # statements at each loop depth
+    names: dict = {}
+    rows: dict = {}
+
+    def name(term) -> str:
+        if isinstance(term, int):
+            return f"v{term}"
+        if term not in names:
+            op, l, r = term
+            lname, rname = name(l), name(r)
+            if (op, l) not in rows:
+                rows[op, l] = f"r{len(rows)}"
+                body[_depth(l)].append(f"{rows[op, l]} = t{ops.index(op)}[{lname}]")
+            names[term] = f"e{len(names)}"
+            body[_depth(term)].append(f"{names[term]} = {rows[op, l]}[{rname}]")
+        return names[term]
+
+    args = "(" + "".join(f"v{i}, " for i in range(k)) + ")"
+    for i, (_, lhs, rhs) in enumerate(laws):
+        a, b = name(lhs), name(rhs)
+        body[k - 1] += [f"if {a} != {b} and {a} != size and {b} != size:",
+                        "    if out is None:",
+                        f"        return {i}, {args}",
+                        f"    out.append(({i}, {args}))"]
+    lines = ["def check(out, size" + "".join(f", t{i}" for i in range(len(ops))) + "):"]
+    for d in range(k):
+        lines.append("    " * (d + 1) + f"for v{d} in range(size):")
+        lines.extend("    " * (d + 2) + stmt for stmt in body[d])
+    lines.append("    return None")
+    namespace: dict = {}
+    exec(compile("\n".join(lines), "<laws>", "exec"), namespace)
+    return tuple(ops), namespace["check"]
+
+
+def first_violation(laws, tables: dict, size: int):
+    """The first violated ``(law index, args)`` of ``laws``, or None."""
+    ops, check = compile_laws(laws)
+    return check(None, size, *[tables[op] for op in ops])
 
 
 def check_laws(s, kind: str) -> LawReport:
@@ -233,68 +324,26 @@ def check_laws(s, kind: str) -> LawReport:
         raise ValueError(f"unknown kind {kind!r}")
     tables = _tables_of(s, kind)
     laws = KIND_LAWS[kind]
+    ops, check = compile_laws(laws)
+    found: list = []
+    check(found, s.size, *[tables[op] for op in ops])
     report = LawReport(kind=kind)
-    n = 0
-    for args in itertools.product(range(s.size), repeat=3):
-        for law_id, lhs, rhs in laws:
-            n += 1
-            if _eval_term(lhs, tables, args) != _eval_term(rhs, tables, args):
-                report.add(law_id, args)
-    report.details["instances"] = n
+    for i, args in found:
+        report.add(laws[i][0], args)
+    report.details["instances"] = s.size ** 3 * len(laws)
     return report
-
-
-def _passes(s, kind: str) -> bool:
-    """Short-circuit variant of check_laws (no witness collection)."""
-    tables = _tables_of(s, kind)
-    laws = KIND_LAWS[kind]
-    for args in itertools.product(range(s.size), repeat=3):
-        for _, lhs, rhs in laws:
-            if _eval_term(lhs, tables, args) != _eval_term(rhs, tables, args):
-                return False
-    return True
 
 
 @lru_cache(maxsize=8192)
 def passes(s, kind: str) -> bool:
     """Cached law check used as a precondition guard elsewhere."""
-    return _passes(s, kind)
+    return first_violation(KIND_LAWS[kind], _tables_of(s, kind), s.size) is None
 
 
 def edus_passes(la: Table, ra: Table, lt: Table, rt: Table, size: int) -> bool:
-    """Hand-inlined nine-law check for raw tables; used in hot scans."""
-    for a in range(size):
-        laa = la[a]
-        raa = ra[a]
-        lta = lt[a]
-        rta = rt[a]
-        for b in range(size):
-            lab = la[b]
-            rab = ra[b]
-            ltb = lt[b]
-            rtb = rt[b]
-            for c in range(size):
-                if laa[lab[c]] != la[laa[b]][c]:
-                    return False
-                if la[raa[b]][c] != raa[lab[c]]:
-                    return False
-                if ra[raa[b]][c] != raa[rab[c]]:
-                    return False
-                if rta[lab[c]] != rta[b]:
-                    return False
-                if lt[raa[b]][c] != ltb[c]:
-                    return False
-                x = lt[laa[b]][c]
-                if la[lta[b]][x] != lta[lab[c]]:
-                    return False
-                if lt[lta[b]][x] != ltb[c]:
-                    return False
-                y = rta[rab[c]]
-                if rt[y][rtb[c]] != rta[b]:
-                    return False
-                if ra[y][rtb[c]] != rt[raa[b]][c]:
-                    return False
-    return True
+    """The nine extended duplicial laws on raw tables."""
+    tables = {"la": la, "ra": ra, "lt": lt, "rt": rt}
+    return first_violation(KIND_LAWS["edus"], tables, size) is None
 
 
 # ---------------------------------------------------------------------------
@@ -308,223 +357,46 @@ def size_bound(force: bool = False) -> int:
     return bound
 
 
-def _check_tables(tables: dict, laws, size: int) -> bool:
-    rng = range(size)
-    for args in itertools.product(rng, repeat=3):
-        for _, lhs, rhs in laws:
-            if _eval_term(lhs, tables, args) != _eval_term(rhs, tables, args):
-                return False
-    return True
-
-
-def _scan_single(size: int, laws, op: str, context: dict | None = None):
-    """All tables (lex order) satisfying the laws, other tables fixed."""
-    base = dict(context or {})
-    out = []
-    for cells in itertools.product(range(size), repeat=size * size):
-        table = tuple(cells[i * size:(i + 1) * size] for i in range(size))
-        base[op] = table
-        if _check_tables(base, laws, size):
-            out.append(table)
-    return out
+def _pad(table, size: int) -> list:
+    """A mutable copy with one more row and column, all ``size``."""
+    return [list(row) + [size] for row in table] + [[size] * (size + 1)]
 
 
 def _search_single(size: int, laws, op: str, context: dict | None = None):
-    """Backtracking version of _scan_single for larger carriers.
+    """All ``op`` tables (lex order) satisfying the laws, other tables fixed.
 
-    Cells are filled in row-major order; a law instance prunes as soon as
-    both sides are determined and differ.
+    Cells are filled in row-major order, unfilled cells hold ``size``; the
+    compiled check prunes as soon as a law instance has two known sides
+    that differ.
     """
-    base = dict(context or {})
-    table = [[None] * size for _ in range(size)]
-    base[op] = table
-    triples = list(itertools.product(range(size), repeat=3))
-
-    def peval(term, args):
-        if isinstance(term, int):
-            return args[term]
-        o, l, r = term
-        a = peval(l, args)
-        if a is None:
-            return None
-        b = peval(r, args)
-        if b is None:
-            return None
-        return base[o][a][b]
-
-    def consistent() -> bool:
-        for args in triples:
-            for _, lhs, rhs in laws:
-                a = peval(lhs, args)
-                if a is None:
-                    continue
-                b = peval(rhs, args)
-                if b is not None and a != b:
-                    return False
-        return True
-
+    tables = {name: _pad(t, size) for name, t in (context or {}).items()}
+    table = tables[op] = _pad([[size] * size] * size, size)
+    ops, check = compile_laws(laws)
+    args = [tables[name] for name in ops]
     out = []
-    cells = [(i, j) for i in range(size) for j in range(size)]
 
     def fill(k: int):
-        if k == len(cells):
-            out.append(tuple(tuple(row) for row in table))
+        if k == size * size:
+            out.append(tuple(tuple(row[:size]) for row in table[:size]))
             return
-        i, j = cells[k]
+        row, j = table[k // size], k % size
         for v in range(size):
-            table[i][j] = v
-            if consistent():
+            row[j] = v
+            if check(None, size, *args) is None:
                 fill(k + 1)
-        table[i][j] = None
+        row[j] = size
 
     fill(0)
     return out
 
 
-def _tables_satisfying(size: int, laws, op: str, context: dict | None = None):
-    if size <= 3:
-        return _scan_single(size, laws, op, context)
-    return _search_single(size, laws, op, context)
-
-
 @lru_cache(maxsize=16)
 def _assoc_tables(size: int) -> tuple[Table, ...]:
-    return tuple(_tables_satisfying(size, _ASSOC_LAWS, "mul"))
+    return tuple(_search_single(size, _ASSOC_LAWS, "mul"))
 
 
-def _duplicial_pair_ok(la: Table, ra: Table, size: int) -> bool:
-    """U2 on a pair of associative tables (U1 and U3 hold by prefilter)."""
-    for a in range(size):
-        raa = ra[a]
-        for b in range(size):
-            lhs = la[raa[b]]
-            lab = la[b]
-            for c in range(size):
-                if lhs[c] != raa[lab[c]]:
-                    return False
-    return True
-
-
-def _diassociative_pair_ok(la: Table, ra: Table, size: int) -> bool:
-    """D2..D5 on a pair of associative tables (D1 holds by prefilter)."""
-    for a in range(size):
-        laa = la[a]
-        raa = ra[a]
-        for b in range(size):
-            lab = la[b]
-            rab = ra[b]
-            d3 = la[raa[b]]
-            d4l = ra[raa[b]]
-            d4r = ra[laa[b]]
-            for c in range(size):
-                if laa[lab[c]] != laa[rab[c]]:
-                    return False
-                if d3[c] != raa[lab[c]]:
-                    return False
-                if d4l[c] != d4r[c]:
-                    return False
-                if d4r[c] != raa[rab[c]]:
-                    return False
-    return True
-
-
-def _index_classes(size: int, pairs) -> list[list[int]]:
-    """Partition {0..size-1} by the closure of the given identifications."""
-    parent = list(range(size))
-
-    def find(x: int) -> int:
-        while parent[x] != x:
-            parent[x] = parent[parent[x]]
-            x = parent[x]
-        return x
-
-    for a, b in pairs:
-        ra, rb = find(a), find(b)
-        if ra != rb:
-            parent[rb] = ra
-    groups: dict = {}
-    for x in range(size):
-        groups.setdefault(find(x), []).append(x)
-    return sorted(groups.values())
-
-
-def _lt_extra_ok(lt, la, size: int) -> bool:
-    """E1 and E2 (E00 is guaranteed by construction of the candidates)."""
-    for a in range(size):
-        lta = lt[a]
-        laa = la[a]
-        for b in range(size):
-            lab = la[b]
-            t_ab = lta[b]
-            lt_laab = lt[laa[b]]
-            la_tab = la[t_ab]
-            lt_tab = lt[t_ab]
-            ltb = lt[b]
-            for c in range(size):
-                x = lt_laab[c]
-                if la_tab[x] != lta[lab[c]]:
-                    return False
-                if lt_tab[x] != ltb[c]:
-                    return False
-    return True
-
-
-def _rt_extra_ok(rt, ra, size: int) -> bool:
-    """E3 and E4 (E0 is guaranteed by construction of the candidates)."""
-    for a in range(size):
-        rta = rt[a]
-        raa = ra[a]
-        for b in range(size):
-            rtb = rt[b]
-            rab = ra[b]
-            t_ab = rta[b]
-            rt_raab = rt[raa[b]]
-            for c in range(size):
-                y = rta[rab[c]]
-                z = rtb[c]
-                if rt[y][z] != t_ab:
-                    return False
-                if ra[y][z] != rt_raab[c]:
-                    return False
-    return True
-
-
-def _triangle_candidates(size: int, la: Table, ra: Table, side: str) -> list[Table]:
-    """All left (or right) triangle tables compatible with fixed arrows.
-
-    The absorption law makes lt rows constant on the classes generated by
-    b ~ ra[a][b] (resp. rt columns constant on b ~ la[b][c]), so only one
-    row (column) per class is free; the remaining two laws are then
-    filtered directly.
-    """
-    if side == "lt":
-        classes = _index_classes(
-            size, ((b, ra[a][b]) for a in range(size) for b in range(size)))
-    else:
-        classes = _index_classes(
-            size, ((b, la[b][c]) for b in range(size) for c in range(size)))
-    vectors = list(itertools.product(range(size), repeat=size))
-    if len(vectors) ** len(classes) > 2_000_000:
-        laws = [law for law in _EXT_LAWS
-                if law[0] in (("E00", "E1", "E2") if side == "lt"
-                              else ("E0", "E3", "E4"))]
-        return _search_single(size, laws, side, {"la": la, "ra": ra})
-    out = []
-    for choice in itertools.product(vectors, repeat=len(classes)):
-        cells = [None] * size
-        for members, vec in zip(classes, choice):
-            for b in members:
-                cells[b] = vec
-        if side == "lt":
-            table = tuple(cells)
-            if _lt_extra_ok(table, la, size):
-                out.append(table)
-        else:
-            table = tuple(zip(*cells))  # chosen vectors are columns
-            if _rt_extra_ok(table, ra, size):
-                out.append(table)
-    out.sort()
-    return out
+def _laws(*ids: str) -> tuple:
+    return tuple(law for law in _DIA_LAWS + _DUP_LAWS + _EXT_LAWS if law[0] in ids)
 
 
 def enumerate_structures(size: int, kind: str, force: bool = False) -> list:
@@ -544,27 +416,29 @@ def enumerate_structures(size: int, kind: str, force: bool = False) -> list:
             f"pass force=True (size 4) or set FAMOP_MAX_SIZE")
 
     if kind in MAGMA_KINDS:
-        tables = _tables_satisfying(size, KIND_LAWS[kind], "mul")
-        return [Magma(size, t) for t in tables]
+        return [Magma(size, t) for t in _search_single(size, KIND_LAWS[kind], "mul")]
 
     # Both arrows of a diassociative or duplicial semigroup are associative
     # products (for diassociative the right arrow inherits it from D4+D5),
     # so associative tables are a sound prefilter; the remaining mixed laws
     # are then checked on every pair.
     assoc = _assoc_tables(size)
-    pair_ok = (_diassociative_pair_ok if kind == "diassociative"
-               else _duplicial_pair_ok)
+    mixed = (_laws("D2", "D3", "D4", "D5") if kind == "diassociative"
+             else _laws("U2"))
+    check = compile_laws(mixed)[1]  # tables in name order: la, ra
     pairs = [(left, right) for left in assoc for right in assoc
-             if pair_ok(left, right, size)]
+             if check(None, size, left, right) is None]
     if kind != "edus":
         return [OmegaStructure(size, l, r) for l, r in pairs]
 
+    lt_laws, rt_laws = _laws("E00", "E1", "E2"), _laws("E0", "E3", "E4")
     out = []
     for left, right in pairs:
-        lts = _triangle_candidates(size, left, right, "lt")
+        arrows = {"la": left, "ra": right}
+        lts = _search_single(size, lt_laws, "lt", arrows)
         if not lts:
             continue
-        rts = _triangle_candidates(size, left, right, "rt")
+        rts = _search_single(size, rt_laws, "rt", arrows)
         for lt in lts:
             for rt in rts:
                 out.append(OmegaStructure(size, left, right, lt, rt))

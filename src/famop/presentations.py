@@ -16,7 +16,10 @@ import itertools
 import warnings
 from dataclasses import dataclass, field
 
-from .errors import MixingConsistencyError, ParseError, ResourceBoundError
+from .errors import (MixingConsistencyError, ParseError, PreconditionError,
+                     ResourceBoundError)
+from .omega import _freeze_table, eval_term, first_violation
+from .trees import tokenize
 
 Term = object  # int leaf label | (gen, Term, Term)
 
@@ -40,22 +43,7 @@ def serialize_term(t: Term) -> str:
 
 
 def parse_term(text: str) -> Term:
-    tokens = []
-    i = 0
-    while i < len(text):
-        ch = text[i]
-        if ch.isspace():
-            i += 1
-            continue
-        if ch in "()":
-            tokens.append((ch, i))
-            i += 1
-            continue
-        j = i
-        while j < len(text) and not text[j].isspace() and text[j] not in "()":
-            j += 1
-        tokens.append((text[i:j], i))
-        i = j
+    tokens = tokenize(text)
     pos = 0
 
     def rec() -> Term:
@@ -399,15 +387,6 @@ def colored_transform(kind: str, **data):
 # Color-mixing membership
 
 
-def eval_term_colors(t: Term, tables: dict, coloring: dict) -> int:
-    """Bottom-up color of a term: leaves read the coloring, vertices apply
-    their generator's table."""
-    if isinstance(t, int):
-        return coloring[t]
-    return tables[t[0]][eval_term_colors(t[1], tables, coloring)][
-        eval_term_colors(t[2], tables, coloring)]
-
-
 @dataclass
 class MixingResult:
     members: list
@@ -416,13 +395,29 @@ class MixingResult:
     classes: list
 
 
+def _carrier_size(p: Presentation, omega_algebra: dict) -> int:
+    """Validate the generator tables and return their common size."""
+    for g in p.generators:
+        if g not in omega_algebra:
+            raise ValueError(f"no table for generator {g!r}")
+    sizes = {len(tab) for tab in omega_algebra.values()}
+    if len(sizes) != 1:
+        raise ValueError("all generator tables must share one carrier size")
+    size = sizes.pop()
+    for tab in omega_algebra.values():
+        _freeze_table(tab, size)
+    return size
+
+
 def _check_consistency(classes, tables: dict, size: int, arity: int):
+    """Raise for the first class, in class order, whose terms do not all
+    evaluate alike under every coloring."""
+    to_vars = {leaf: leaf - 1 for leaf in range(1, arity + 1)}
     for cls in classes:
-        for coloring_vals in itertools.product(range(size), repeat=arity):
-            coloring = dict(zip(range(1, arity + 1), coloring_vals))
-            values = {eval_term_colors(t, tables, coloring) for t in cls}
-            if len(values) > 1:
-                raise MixingConsistencyError(serialize_term(cls[0]))
+        rep = _relabel(cls[0], to_vars)
+        laws = tuple((i, rep, _relabel(t, to_vars)) for i, t in enumerate(cls[1:]))
+        if first_violation(laws, tables, size) is not None:
+            raise MixingConsistencyError(serialize_term(cls[0]))
 
 
 def mixing_filter(p: Presentation, omega_algebra: dict, arity: int,
@@ -436,43 +431,37 @@ def mixing_filter(p: Presentation, omega_algebra: dict, arity: int,
     otherwise the color set is not an algebra for this presentation and a
     MixingConsistencyError names the offending class.
     """
-    sizes = {len(tab) for tab in omega_algebra.values()}
-    if len(sizes) != 1:
-        raise ValueError("all generator tables must share one carrier size")
-    size = sizes.pop()
-    for g in p.generators:
-        if g not in omega_algebra:
-            raise ValueError(f"no table for generator {g!r}")
+    size = _carrier_size(p, omega_algebra)
     coloring = tuple(coloring)
     if len(coloring) != arity:
         raise ValueError("one input color per leaf required")
+    if not all(isinstance(c, int) and 0 <= c < size for c in coloring):
+        raise ValueError(f"input colors must lie in 0..{size - 1}")
     classes = quotient_classes(p, arity)
     _check_consistency(classes, omega_algebra, size, arity)
     env = dict(zip(range(1, arity + 1), coloring))
     members, non_members = [], []
     for cls in classes:
-        value = eval_term_colors(cls[0], omega_algebra, env)
+        value = eval_term(cls[0], omega_algebra, env)
         (members if value == output else non_members).append(cls[0])
     return MixingResult(members, non_members, True, classes)
 
 
 def mixing_census(p: Presentation, omega_algebra: dict, arity: int) -> dict:
-    """Per-class count of (coloring, output) pairs that admit the class."""
-    sizes = {len(tab) for tab in omega_algebra.values()}
-    size = sizes.pop()
+    """Per-class count of (coloring, output) pairs that admit the class.
+
+    Once evaluation is constant on the classes, every coloring admits each
+    class at exactly one output color, so each count is size ** arity.
+    """
+    size = _carrier_size(p, omega_algebra)
     classes = quotient_classes(p, arity)
     _check_consistency(classes, omega_algebra, size, arity)
-    counts = []
-    for cls in classes:
-        n = 0
-        for coloring in itertools.product(range(size), repeat=arity):
-            env = dict(zip(range(1, arity + 1), coloring))
-            value = eval_term_colors(cls[0], omega_algebra, env)
-            for out in range(size):
-                if value == out:
-                    n += 1
-        counts.append((serialize_term(cls[0]), n))
+    counts = [(serialize_term(cls[0]), size ** arity) for cls in classes]
     return {"classes": len(classes), "consistent": True, "member_counts": counts}
+
+
+_DEFAULT_TABLES = {"prec": "left_arrow", "succ": "right_arrow",
+                   "rhd": "table", "mul": "table"}
 
 
 def omega_algebra_from_structure(p: Presentation, structure) -> dict:
@@ -480,12 +469,12 @@ def omega_algebra_from_structure(p: Presentation, structure) -> dict:
     structure: prec/succ to the arrows, rhd/mul to a magma table."""
     tables = {}
     for g in p.generators:
-        if g == "prec":
-            tables[g] = structure.left_arrow
-        elif g == "succ":
-            tables[g] = structure.right_arrow
-        elif g in ("rhd", "mul"):
-            tables[g] = structure.table
-        else:
+        if g not in _DEFAULT_TABLES:
             raise ValueError(f"no default table for generator {g!r}")
+        table = getattr(structure, _DEFAULT_TABLES[g], None)
+        if table is None:
+            raise PreconditionError(
+                f"generator {g!r} needs a {_DEFAULT_TABLES[g]} table, which "
+                f"the {type(structure).__name__} lacks")
+        tables[g] = table
     return tables

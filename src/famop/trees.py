@@ -180,7 +180,8 @@ def serialize(t: Tree) -> str:
             f"{serialize(t.left)} {serialize(t.right)})")
 
 
-def _tokenize(text: str):
+def tokenize(text: str) -> list[tuple[str, int]]:
+    """Split on whitespace and parentheses; each token with its position."""
     tokens = []
     i = 0
     while i < len(text):
@@ -217,7 +218,7 @@ def _parse_type(token: str, pos: int):
 
 def parse(text: str) -> Tree:
     """Parse the textual grammar; raises ParseError with a position."""
-    tokens = _tokenize(text)
+    tokens = tokenize(text)
     k = 0
 
     def need(what: str):

@@ -79,6 +79,15 @@ def test_present_mix_single_query(capsys, proj2_file):
     assert payload["members"] == ["(prec 1 2)"]
 
 
+def test_present_mix_on_a_magma_file_is_a_usage_error(capsys, magma_file):
+    code, out, err = run(capsys, ["present", "mix", "--preset", "duplicial",
+                                  "--omega", magma_file, "--arity", "3"])
+    assert code == 2
+    assert out == ""
+    assert len(err.strip().splitlines()) == 1
+    assert "'prec'" in err and "left_arrow" in err
+
+
 def test_operad_check_twist(capsys):
     code, out, _ = run(capsys, ["operad", "check", "--which", "twist",
                                 "--max", "3"])

@@ -195,6 +195,17 @@ def test_one_param_fails_on_non_edus_with_witness():
     assert lhs != rhs
 
 
+def test_decorations_do_not_change_factored_reports():
+    for mode, samples in (("one_param", [EDUS2[0], EDUS2[40], NON_EDUS]),
+                          ("two_param", [PROJ2, NON_DUPLICIAL])):
+        for s in samples:
+            for first in (False, True):
+                one, two = (check_axioms(mode, s, x_size=x, max_vertices=3,
+                                         first_witness_only=first).to_json()
+                            for x in (1, 2))
+                assert one == two
+
+
 def test_graded_iff_on_sample_candidates():
     assert check_axioms("graded", EDUS2[0], max_vertices=2).passed
     assert check_axioms("graded", EDUS2[100], max_vertices=2).passed

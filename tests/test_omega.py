@@ -3,6 +3,8 @@ import itertools
 import random
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from famop import omega
 from famop.errors import PreconditionError, ResourceBoundError
@@ -31,6 +33,21 @@ def _dup_ok(la, ra):
         la[la[a][b]][c] == la[a][la[b][c]]
         and la[ra[a][b]][c] == ra[a][la[b][c]]
         and ra[ra[a][b]][c] == ra[a][ra[b][c]]
+        for a in r for b in r for c in r)
+
+
+def _edus_ok(la, ra, lt, rt):
+    r = range(2)
+    return all(
+        la[la[a][b]][c] == la[a][la[b][c]]
+        and la[ra[a][b]][c] == ra[a][la[b][c]]
+        and ra[ra[a][b]][c] == ra[a][ra[b][c]]
+        and rt[a][la[b][c]] == rt[a][b]
+        and lt[ra[a][b]][c] == lt[b][c]
+        and la[lt[a][b]][lt[la[a][b]][c]] == lt[a][la[b][c]]
+        and lt[lt[a][b]][lt[la[a][b]][c]] == lt[b][c]
+        and rt[rt[a][ra[b][c]]][rt[b][c]] == rt[a][b]
+        and ra[rt[a][ra[b][c]]][rt[b][c]] == rt[ra[a][b]][c]
         for a in r for b in r for c in r)
 
 
@@ -154,10 +171,16 @@ def test_edus_enumeration_members_pass_and_sample_nonmember_fails():
 
 def test_edus_passes_fast_path_agrees_with_check_laws():
     rng = random.Random(7)
-    for _ in range(60):
-        la, ra, lt, rt = (rng.choice(ALL_TABLES_2) for _ in range(4))
-        s = OmegaStructure(2, la, ra, lt, rt)
-        assert omega.edus_passes(la, ra, lt, rt, 2) == check_laws(s, "edus").passed
+    edus = [(s.left_arrow, s.right_arrow, s.left_tri, s.right_tri)
+            for s in enumerate_structures(2, "edus")]
+    samples = edus + [tuple(rng.choice(ALL_TABLES_2) for _ in range(4))
+                      for _ in range(400)]
+    for quad in samples:
+        expected = _edus_ok(*quad)
+        assert omega.edus_passes(*quad, 2) == expected
+        assert check_laws(OmegaStructure(2, *quad), "edus").passed == expected
+    assert all(_edus_ok(*quad) for quad in edus)
+    assert not all(_edus_ok(*quad) for quad in samples)
 
 
 def test_witnesses_are_exhaustive():
@@ -173,7 +196,97 @@ def test_witnesses_are_exhaustive():
             expected.append(("U2", args))
         if left[left[a][b]][c] != left[a][left[b][c]]:
             expected.append(("U3", args))
-    assert len(report.witnesses) == len(expected)
+    assert report.witnesses == expected
+
+
+@pytest.mark.parametrize("kind,count", [
+    ("diassociative", 267), ("duplicial", 1401), ("associative", 113),
+    ("twist_associative", 91), ("napnapprime", 177), ("perm", 85),
+])
+def test_size3_counts_and_lex_order(kind, count):
+    found = enumerate_structures(3, kind)
+    assert len(found) == count
+    flats = [s.flat() for s in found]
+    assert flats == sorted(set(flats))
+    assert all(check_laws(s, kind).passed for s in found)
+
+
+# --- the law compiler against the interpreter -------------------------------
+
+def _terms(k):
+    return st.recursive(
+        st.integers(0, k - 1),
+        lambda sub: st.tuples(st.sampled_from(["f", "g"]), sub, sub),
+        max_leaves=6)
+
+
+@st.composite
+def _law_sets(draw):
+    k = draw(st.integers(1, 3))
+    size = draw(st.integers(1, 3))
+    pairs = draw(st.lists(st.tuples(_terms(k), _terms(k)), min_size=1, max_size=4))
+    laws = tuple((f"L{i}", lhs, rhs) for i, (lhs, rhs) in enumerate(pairs))
+    cells = st.lists(st.lists(st.integers(0, size - 1), min_size=size,
+                              max_size=size), min_size=size, max_size=size)
+    tables = {"f": draw(cells), "g": draw(cells)}
+    unknown = {op: draw(st.sets(st.tuples(st.integers(0, size - 1),
+                                          st.integers(0, size - 1))))
+               for op in tables}
+    return laws, size, tables, unknown
+
+
+def _reference(laws, size, evaluate):
+    k = 1 + max(max(_vars(lhs) + _vars(rhs)) for _, lhs, rhs in laws)
+    out = []
+    for args in itertools.product(range(size), repeat=k):
+        for i, (_, lhs, rhs) in enumerate(laws):
+            a, b = evaluate(lhs, args), evaluate(rhs, args)
+            if a is not None and b is not None and a != b:
+                out.append((i, args))
+    return out
+
+
+def _vars(term):
+    if isinstance(term, int):
+        return [term]
+    return _vars(term[1]) + _vars(term[2])
+
+
+def _compiled(laws, size, tables):
+    ops, check = omega.compile_laws(laws)
+    args = [tables[op] for op in ops]
+    out = []
+    assert check(out, size, *args) is None
+    assert check(None, size, *args) == (out[0] if out else None)
+    return out
+
+
+@settings(max_examples=300, deadline=None)
+@given(_law_sets())
+def test_compiled_laws_agree_with_the_interpreter(case):
+    laws, size, tables, _ = case
+    expected = _reference(laws, size,
+                          lambda t, args: omega.eval_term(t, tables, args))
+    assert _compiled(laws, size, tables) == expected
+
+
+@settings(max_examples=300, deadline=None)
+@given(_law_sets())
+def test_compiled_laws_on_partial_tables(case):
+    laws, size, tables, unknown = case
+    partial = {op: [[None if (i, j) in unknown[op] else v
+                     for j, v in enumerate(row)] for i, row in enumerate(t)]
+               for op, t in tables.items()}
+
+    def evaluate(term, args):
+        if isinstance(term, int):
+            return args[term]
+        a, b = evaluate(term[1], args), evaluate(term[2], args)
+        return None if a is None or b is None else partial[term[0]][a][b]
+
+    padded = {op: [[size if v is None else v for v in row] + [size] for row in t]
+              + [[size] * (size + 1)] for op, t in partial.items()}
+    assert _compiled(laws, size, padded) == _reference(laws, size, evaluate)
 
 
 # --- symbolic models ---------------------------------------------------------

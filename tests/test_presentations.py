@@ -5,8 +5,9 @@ import random
 import pytest
 
 from famop import presentations as pr
-from famop.errors import MixingConsistencyError, ParseError, ResourceBoundError
-from famop.omega import OmegaStructure, ds_projections
+from famop.errors import (MixingConsistencyError, ParseError,
+                          PreconditionError, ResourceBoundError)
+from famop.omega import Magma, OmegaStructure, ds_projections, eval_term
 from famop.presentations import (ColoredTerm, Presentation, colored_compose,
                                  compose_terms, color_change, enumerate_terms,
                                  forget, mixing_census, mixing_filter,
@@ -163,6 +164,37 @@ def test_mixing_inconsistency_names_a_class():
     assert exc.value.class_rep.startswith("(")
 
 
+@pytest.mark.parametrize("mix", [
+    lambda p, tables: mixing_filter(p, tables, 2, (0, 1), 0),
+    lambda p, tables: mixing_census(p, tables, 2),
+])
+@pytest.mark.parametrize("tables", [
+    {"prec": ((0, 0), (1, 1))},                              # no succ table
+    {"prec": ((0, 0), (1, 1)), "succ": ((0,), (1,))},        # not square
+    {"prec": ((0, 0), (1, 1)), "succ": ((0, 0, 0),) * 3},    # two sizes
+    {"prec": ((0, 0), (1, 1)), "succ": ((0, 2), (0, 1))},    # entry == size
+    {"prec": ((0, 0), (1, 1)), "succ": ((0, -1), (0, 1))},   # negative entry
+])
+def test_mixing_rejects_malformed_tables(mix, tables):
+    with pytest.raises(ValueError):
+        mix(preset("duplicial"), tables)
+
+
+def test_mixing_filter_rejects_out_of_range_colors():
+    tables = pr.omega_algebra_from_structure(preset("duplicial"), ds_projections(2))
+    for coloring in ((0, 2), (-1, 0)):
+        with pytest.raises(ValueError):
+            mixing_filter(preset("duplicial"), tables, 2, coloring, 0)
+
+
+def test_default_tables_need_matching_structure():
+    with pytest.raises(PreconditionError, match="prec"):
+        pr.omega_algebra_from_structure(preset("duplicial"),
+                                        Magma(2, [[0, 0], [0, 0]]))
+    with pytest.raises(PreconditionError, match="mul"):
+        pr.omega_algebra_from_structure(preset("associative"), ds_projections(2))
+
+
 def test_mixing_membership_is_class_invariant_when_consistent():
     p = preset("duplicial")
     tables = pr.omega_algebra_from_structure(p, ds_projections(2))
@@ -172,7 +204,7 @@ def test_mixing_membership_is_class_invariant_when_consistent():
         member_set = set(map(serialize_term, res.members))
         for cls in classes:
             env = dict(zip(range(1, 4), coloring))
-            values = {pr.eval_term_colors(t, tables, env) for t in cls}
+            values = {eval_term(t, tables, env) for t in cls}
             assert len(values) == 1
             assert (serialize_term(cls[0]) in member_set) == (values.pop() == 0)
 
