@@ -133,25 +133,19 @@ def r_sequence(order: int) -> PolySeries:
     if not 1 <= order <= 64:
         raise ResourceBoundError("order must be in 1..64")
     r = [ZERO, ONE]  # r[0] unused
+    conv2 = [ZERO, ZERO]  # conv2[m] = sum_{i+j=m} r_i r_j
     a3 = W * W * (W - ONE)
     a2x = W * W
     a2 = W * (W.scale(2) - IntPoly.const(2))
     for n in range(2, order + 1):
-        conv2 = ZERO
+        c2 = ZERO
         for i in range(1, n):
-            if n - i >= 1:
-                conv2 = conv2 + r[i] * r[n - i]
-        conv2_prev = ZERO
+            c2 = c2 + r[i] * r[n - i]
+        conv2.append(c2)
+        conv3 = ZERO  # sum_{i+j+k=n} r_i r_j r_k = sum_i r_i conv2[n-i]
         for i in range(1, n - 1):
-            if n - 1 - i >= 1:
-                conv2_prev = conv2_prev + r[i] * r[n - 1 - i]
-        conv3 = ZERO
-        for i in range(1, n - 1):
-            for j in range(1, n - i):
-                k = n - i - j
-                if k >= 1:
-                    conv3 = conv3 + r[i] * r[j] * r[k]
-        r.append(a3 * conv3 + a2x * conv2_prev + a2 * conv2 + r[n - 1] * W.scale(2))
+            conv3 = conv3 + r[i] * conv2[n - i]
+        r.append(a3 * conv3 + a2x * conv2[n - 1] + a2 * c2 + r[n - 1] * W.scale(2))
     return PolySeries(order, tuple(r[1:]))
 
 

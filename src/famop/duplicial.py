@@ -485,10 +485,10 @@ def tree_generator(dec: str) -> Node:
     return Node(dec, None, None, None, None)
 
 
-def free_morphism_eval(f, target, t: Node):
-    """Evaluate the induced morphism on a tree by structural recursion:
-    a single vertex maps to f(dec), and a vertex with subtrees maps to
-    (f(T1) succ_a f(x)) prec_b f(T2) with the missing sides skipped."""
+def _morphism_walk(f, target, t: Node, both):
+    """The induced morphism by structural recursion: a single vertex maps
+    to f(dec), a one-sided vertex to f(x) prec_b f(T2) or f(T1) succ_a f(x),
+    and a two-sided vertex to ``both(f(T1), a, f(x), b, f(T2))``."""
     if t is None:
         raise PreconditionError("the morphism is defined on non-leaf trees")
     fx = f if callable(f) else f.__getitem__
@@ -501,29 +501,22 @@ def free_morphism_eval(f, target, t: Node):
             return target.prec(fx(node.dec), node.rt, go(right))
         if right is None:
             return target.succ(go(left), node.lt, fx(node.dec))
-        return target.prec(target.succ(go(left), node.lt, fx(node.dec)),
-                           node.rt, go(right))
+        return both(go(left), node.lt, fx(node.dec), node.rt, go(right))
 
     return go(t)
+
+
+def free_morphism_eval(f, target, t: Node):
+    """Evaluate the induced morphism on a tree by structural recursion:
+    a single vertex maps to f(dec), and a vertex with subtrees maps to
+    (f(T1) succ_a f(x)) prec_b f(T2) with the missing sides skipped."""
+    return _morphism_walk(f, target, t, lambda l, a, x, b, r:
+                          target.prec(target.succ(l, a, x), b, r))
 
 
 def free_morphism_eval_alt(f, target, t: Node):
     """Same map computed with the other bracketing of the two-sided case,
     f(T1) succ_a (f(x) prec_b f(T2)); the two agree in any target whose
     middle law holds, which pins the uniqueness of the morphism."""
-    if t is None:
-        raise PreconditionError("the morphism is defined on non-leaf trees")
-    fx = f if callable(f) else f.__getitem__
-
-    def go(node: Node):
-        left, right = node.left, node.right
-        if left is None and right is None:
-            return fx(node.dec)
-        if left is None:
-            return target.prec(fx(node.dec), node.rt, go(right))
-        if right is None:
-            return target.succ(go(left), node.lt, fx(node.dec))
-        return target.succ(go(left), node.lt,
-                           target.prec(fx(node.dec), node.rt, go(right)))
-
-    return go(t)
+    return _morphism_walk(f, target, t, lambda l, a, x, b, r:
+                          target.succ(l, a, target.prec(x, b, r)))

@@ -3,8 +3,16 @@
 A family algebra is a basis of dimension d with, for every operation
 symbol and every parameter pair, a d x d x d array of structure
 constants: ``c[i][j][k]`` is the coefficient of basis vector k in the
-product of basis vectors i and j.  All arithmetic is Fraction-exact and
-all law checks run over every basis triple and parameter triple.
+product of basis vectors i and j.  All arithmetic is Fraction-exact.
+
+Every law is stated once, as its classical relation between linear
+combinations of tuple terms in x, y, z.  A family law is the same relation
+with parameters: a variable carries its own parameter, and a product node
+whose operands carry p and q uses the constants of the pair (p, q) and
+carries ``grade[op][p][q]``, read in the parameter structure (prec the
+left arrow, succ the right arrow, rhd and mul the magma product).  One
+scan checks every law instance over all basis and parameter triples; a
+classical check is the same scan with a single parameter value.
 """
 from __future__ import annotations
 
@@ -13,19 +21,32 @@ import math
 import random
 from dataclasses import dataclass, field
 from fractions import Fraction
+from operator import add, neg, sub
 
 from . import omega as omega_mod
 from .errors import PreconditionError
-from .omega import OmegaStructure
+from .omega import Magma, OmegaStructure
 from .report import LawReport
 
 Vec = tuple  # coefficient tuple over the basis
 
 
-def _zero_table(dim: int):
-    z = Fraction(0)
-    return tuple(tuple(tuple(z for _ in range(dim)) for _ in range(dim))
-                 for _ in range(dim))
+def _product(cube, x: Vec, y: Vec) -> Vec:
+    """The bilinear product with structure constants ``cube``."""
+    out = [Fraction(0)] * len(x)
+    for i, xi in enumerate(x):
+        if xi:
+            for j, yj in enumerate(y):
+                if yj:
+                    coeff = xi * yj
+                    for k, ck in enumerate(cube[i][j]):
+                        if ck:
+                            out[k] += coeff * ck
+    return tuple(out)
+
+
+def _basis(dim: int, i: int) -> Vec:
+    return tuple(Fraction(1 if k == i else 0) for k in range(dim))
 
 
 def _freeze_cube(raw, dim: int):
@@ -46,13 +67,12 @@ class FamilyBilinear:
     ops: dict = field(default_factory=dict)  # name -> {(a, b): cube}
 
     def __post_init__(self):
+        params = set(itertools.product(range(self.omega_size), repeat=2))
         frozen = {}
         for name, by_param in self.ops.items():
             frozen[name] = {tuple(p): _freeze_cube(cube, self.dim)
                             for p, cube in by_param.items()}
-        params = set(itertools.product(range(self.omega_size), repeat=2))
-        for name, by_param in frozen.items():
-            if set(by_param) != params:
+            if set(frozen[name]) != params:
                 raise ValueError(f"operation {name!r} must carry one table per "
                                  f"parameter pair")
         self.ops = frozen
@@ -61,20 +81,10 @@ class FamilyBilinear:
         return self.ops[op][tuple(param)]
 
     def product(self, op: str, param, x: Vec, y: Vec) -> Vec:
-        cube = self.cube(op, param)
-        out = [Fraction(0)] * self.dim
-        for i, xi in enumerate(x):
-            if xi:
-                for j, yj in enumerate(y):
-                    if yj:
-                        coeff = xi * yj
-                        for k, ck in enumerate(cube[i][j]):
-                            if ck:
-                                out[k] += coeff * ck
-        return tuple(out)
+        return _product(self.cube(op, param), x, y)
 
     def basis(self, i: int) -> Vec:
-        return tuple(Fraction(1 if k == i else 0) for k in range(self.dim))
+        return _basis(self.dim, i)
 
     def to_json(self) -> dict:
         return {
@@ -90,20 +100,14 @@ class FamilyBilinear:
     def from_json(cls, data: dict) -> "FamilyBilinear":
         ops = {}
         for name, by_param in data["ops"].items():
-            parsed = {}
-            for key, cube in by_param.items():
-                a, b = key.strip("()").split(",")
-                parsed[(int(a), int(b))] = [[[Fraction(v) for v in row]
-                                             for row in plane] for plane in cube]
-            ops[name] = parsed
+            ops[name] = {tuple(int(v) for v in key.strip("()").split(",")): cube
+                         for key, cube in by_param.items()}
         return cls(data["dim"], data["omega_size"], ops)
 
 
 def zero_family(dim: int, omega_size: int, op_names) -> FamilyBilinear:
-    cube = _zero_table(dim)
-    params = itertools.product(range(omega_size), repeat=2)
-    grid = {p: cube for p in params}
-    return FamilyBilinear(dim, omega_size, {name: dict(grid) for name in op_names})
+    zero = [[[0] * dim] * dim] * dim
+    return constant_family(dim, omega_size, dict.fromkeys(op_names, zero))
 
 
 def constant_family(dim: int, omega_size: int, tables: dict) -> FamilyBilinear:
@@ -136,35 +140,132 @@ def random_family(dim: int, omega_size: int, op_names, seed: int,
 
 
 # ---------------------------------------------------------------------------
-# Family law checks
+# Laws.  A law is (id, lhs, rhs); each side is a tuple of (term, sign), and
+# each term is an omega tuple term over the variables x = 0, y = 1, z = 2.
 
-_PREREQ = {
-    "dendriform2": "diassociative",
-    "prelie2": "perm",
-    "assoc_family": "associative",
-    "twisted_family": "twist_associative",
-    "napnap_family": "napnapprime",
+
+def _op(name: str):
+    return lambda left, right: (name, left, right)
+
+
+PREC, SUCC, RHD, MUL = _op("prec"), _op("succ"), _op("rhd"), _op("mul")
+X, Y, Z = 0, 1, 2
+
+_ASSOCIATIVE = ((((MUL(MUL(X, Y), Z), 1),), ((MUL(X, MUL(Y, Z)), 1),)),)
+_PRELIE = ((((RHD(X, RHD(Y, Z)), 1), (RHD(RHD(X, Y), Z), -1)),
+            ((RHD(Y, RHD(X, Z)), 1), (RHD(RHD(Y, X), Z), -1))),)
+_DENDRIFORM = (
+    (((PREC(PREC(X, Y), Z), 1),),
+     ((PREC(X, PREC(Y, Z)), 1), (PREC(X, SUCC(Y, Z)), 1))),
+    (((PREC(SUCC(X, Y), Z), 1),), ((SUCC(X, PREC(Y, Z)), 1),)),
+    (((SUCC(X, SUCC(Y, Z)), 1),),
+     ((SUCC(SUCC(X, Y), Z), 1), (SUCC(PREC(X, Y), Z), 1))),
+)
+_DUPLICIAL = (
+    (((PREC(PREC(X, Y), Z), 1),), ((PREC(X, PREC(Y, Z)), 1),)),
+    (((PREC(SUCC(X, Y), Z), 1),), ((SUCC(X, PREC(Y, Z)), 1),)),
+    (((SUCC(X, SUCC(Y, Z)), 1),), ((SUCC(SUCC(X, Y), Z), 1),)),
+)
+_TWISTED = ((((MUL(X, MUL(Y, Z)), 1),), ((MUL(MUL(Y, X), Z), -1),)),)
+_NAPNAP = (
+    (((MUL(X, MUL(Y, Z)), 1),), ((MUL(Y, MUL(X, Z)), 1),)),
+    (((MUL(MUL(X, Y), Z), 1),), ((MUL(MUL(Y, X), Z), 1),)),
+)
+
+
+def _named(ids, relations) -> tuple:
+    return tuple((law_id,) + relation for law_id, relation in zip(ids, relations))
+
+
+_CLASSIC_LAWS = {
+    "dendriform": _named(("C1", "C2", "C3"), _DENDRIFORM),
+    "duplicial": _named(("C1", "C2", "C3"), _DUPLICIAL),
+    "prelie": _named(("prelie",), _PRELIE),
+    "associative": _named(("assoc",), _ASSOCIATIVE),
 }
 
-_FAMILY_OPS = {
-    "dendriform2": ("prec", "succ"),
-    "prelie2": ("rhd",),
-    "assoc_family": ("mul",),
-    "twisted_family": ("mul",),
-    "napnap_family": ("mul",),
+# Each family kind: its laws and the law kind of its parameter structure.
+_FAMILY_LAWS = {
+    "dendriform2": (_named(("F1", "F2", "F3"), _DENDRIFORM), "diassociative"),
+    "prelie2": (_named(("PL",), _PRELIE), "perm"),
+    "assoc_family": (_named(("FA",), _ASSOCIATIVE), "associative"),
+    "twisted_family": (_named(("FT",), _TWISTED), "twist_associative"),
+    "napnap_family": (_named(("FN1", "FN2"), _NAPNAP), "napnapprime"),
 }
 
-
-def _neg(x: Vec) -> Vec:
-    return tuple(-v for v in x)
+_GRADED_KINDS = ("dendriform", "duplicial", "prelie")
 
 
-def _add(x: Vec, y: Vec) -> Vec:
-    return tuple(a + b for a, b in zip(x, y))
+def _subterms(laws) -> list:
+    """Every product subterm of the laws once, operands first."""
+    seen: dict = {}
+
+    def visit(term):
+        if isinstance(term, tuple) and term not in seen:
+            visit(term[1])
+            visit(term[2])
+            seen[term] = None
+
+    for _, lhs, rhs in laws:
+        for term, _ in lhs + rhs:
+            visit(term)
+    return list(seen)
 
 
-def _sub(x: Vec, y: Vec) -> Vec:
-    return tuple(a - b for a, b in zip(x, y))
+def _ops(kind: str, laws, available, owner: str) -> tuple:
+    """The operations the laws use; each must be among ``available``."""
+    names = tuple(sorted({term[0] for term in _subterms(laws)}))
+    missing = [name for name in names if name not in available]
+    if missing:
+        raise PreconditionError(f"kind {kind!r} needs operation "
+                                f"{', '.join(map(repr, missing))}, which {owner} lacks")
+    return names
+
+
+def _signed_sum(side, values) -> Vec:
+    (term, sign), *rest = side
+    out = values[term][0] if sign > 0 else tuple(map(neg, values[term][0]))
+    for term, sign in rest:
+        out = tuple(map(add if sign > 0 else sub, out, values[term][0]))
+    return out
+
+
+def _scan(report: LawReport, laws, cubes, grades, dim: int, w: int) -> LawReport:
+    """Add every violation ``(law id, (i, j, k, al, be, ga))`` of ``laws``
+    over the basis triples and parameter triples to ``report``.
+
+    A variable takes its basis vector and its parameter; a product node
+    whose operands carry p and q multiplies with ``cubes[op][p, q]`` and
+    carries ``grades[op][p][q]``.  Each subterm is computed once per
+    instance."""
+    terms = _subterms(laws)
+    basis = [_basis(dim, n) for n in range(dim)]
+    for i, j, k in itertools.product(range(dim), repeat=3):
+        for params in itertools.product(range(w), repeat=3):
+            values: dict = {X: (basis[i], params[X]), Y: (basis[j], params[Y]),
+                            Z: (basis[k], params[Z])}
+            for term in terms:
+                op, left, right = term
+                (u, p), (v, q) = values[left], values[right]
+                values[term] = (_product(cubes[op][p, q], u, v), grades[op][p][q])
+            for law_id, lhs, rhs in laws:
+                if _signed_sum(lhs, values) != _signed_sum(rhs, values):
+                    report.add(law_id, (i, j, k) + params)
+    report.details["instances"] = dim ** 3 * w ** 3 * len(laws)
+    return report
+
+
+def _grade_tables(structure, kind: str, laws) -> dict:
+    """The parameter table of each operation of the laws: the left arrow
+    for prec and the right arrow for succ of an OmegaStructure, the product
+    of a Magma for every operation."""
+    tables = {}
+    if isinstance(structure, OmegaStructure):
+        tables = {"prec": structure.left_arrow, "succ": structure.right_arrow}
+    elif isinstance(structure, Magma):
+        tables = dict.fromkeys(("prec", "succ", "rhd", "mul"), structure.table)
+    return {name: tables[name]
+            for name in _ops(kind, laws, tables, "the parameter structure")}
 
 
 def check_family_laws(a: FamilyBilinear, structure, kind: str) -> LawReport:
@@ -172,102 +273,45 @@ def check_family_laws(a: FamilyBilinear, structure, kind: str) -> LawReport:
     parameter triples.  The parameter structure must satisfy its matching
     laws first; a violation raises a precondition error naming the failed
     identity."""
-    if kind not in _PREREQ:
+    if kind not in _FAMILY_LAWS:
         raise ValueError(f"unknown family kind {kind!r}")
-    prereq = _PREREQ[kind]
+    laws, prereq = _FAMILY_LAWS[kind]
     pre_report = omega_mod.check_laws(structure, prereq)
     if not pre_report.passed:
         law, args = pre_report.witnesses[0]
         raise PreconditionError(
             f"parameter structure fails {prereq} identity {law} at {args}")
-    for name in _FAMILY_OPS[kind]:
-        if name not in a.ops:
-            raise ValueError(f"family of kind {kind!r} needs operation {name!r}")
+    _ops(kind, laws, a.ops, "the family")
     if a.omega_size != structure.size:
         raise ValueError("family and parameter structure sizes differ")
+    return _scan(LawReport(kind=kind), laws, a.ops,
+                 _grade_tables(structure, kind, laws), a.dim, a.omega_size)
 
-    if isinstance(structure, OmegaStructure):
-        la, ra = structure.la, structure.ra
+
+def check_classic_laws(b, kind: str) -> LawReport:
+    """Classical (parameter-free) laws on all basis triples, exact: the
+    family scan with a single parameter value."""
+    if kind not in _CLASSIC_LAWS:
+        raise ValueError(f"unknown classical kind {kind!r}")
+    if isinstance(b, GradedBasisAlgebra):
+        cubes = {name: {(0, 0): cube} for name, cube in b.ops.items()}
+    elif isinstance(b, FamilyBilinear):
+        if b.omega_size != 1:
+            raise ValueError("classical checks need a graded algebra or a "
+                             "single-parameter family")
+        cubes = b.ops
     else:
-        la = ra = structure.mul
-
-    def prec(p, q, u, v):
-        return a.product("prec", (p, q), u, v)
-
-    def succ(p, q, u, v):
-        return a.product("succ", (p, q), u, v)
-
-    def rhd(p, q, u, v):
-        return a.product("rhd", (p, q), u, v)
-
-    def mul(p, q, u, v):
-        return a.product("mul", (p, q), u, v)
-
-    report = LawReport(kind=kind)
-    dim, w = a.dim, a.omega_size
-    n = 0
-    for i, j, k in itertools.product(range(dim), repeat=3):
-        x, y, z = a.basis(i), a.basis(j), a.basis(k)
-        for al, be, ga in itertools.product(range(w), repeat=3):
-            args = (i, j, k, al, be, ga)
-            if kind == "dendriform2":
-                lhs = prec(la(al, be), ga, prec(al, be, x, y), z)
-                rhs = _add(prec(al, la(be, ga), x, prec(be, ga, y, z)),
-                           prec(al, ra(be, ga), x, succ(be, ga, y, z)))
-                if lhs != rhs:
-                    report.add("F1", args)
-                lhs = prec(ra(al, be), ga, succ(al, be, x, y), z)
-                rhs = succ(al, la(be, ga), x, prec(be, ga, y, z))
-                if lhs != rhs:
-                    report.add("F2", args)
-                lhs = succ(al, ra(be, ga), x, succ(be, ga, y, z))
-                rhs = _add(succ(ra(al, be), ga, succ(al, be, x, y), z),
-                           succ(la(al, be), ga, prec(al, be, x, y), z))
-                if lhs != rhs:
-                    report.add("F3", args)
-                n += 3
-            elif kind == "prelie2":
-                lhs = _sub(rhd(al, la(be, ga), x, rhd(be, ga, y, z)),
-                           rhd(la(al, be), ga, rhd(al, be, x, y), z))
-                rhs = _sub(rhd(be, la(al, ga), y, rhd(al, ga, x, z)),
-                           rhd(la(be, al), ga, rhd(be, al, y, x), z))
-                if lhs != rhs:
-                    report.add("PL", args)
-                n += 1
-            elif kind == "assoc_family":
-                lhs = mul(al, la(be, ga), x, mul(be, ga, y, z))
-                rhs = mul(la(al, be), ga, mul(al, be, x, y), z)
-                if lhs != rhs:
-                    report.add("FA", args)
-                n += 1
-            elif kind == "twisted_family":
-                lhs = mul(al, la(be, ga), x, mul(be, ga, y, z))
-                rhs = _neg(mul(la(be, al), ga, mul(be, al, y, x), z))
-                if lhs != rhs:
-                    report.add("FT", args)
-                n += 1
-            else:  # napnap_family
-                lhs = mul(al, la(be, ga), x, mul(be, ga, y, z))
-                rhs = mul(be, la(al, ga), y, mul(al, ga, x, z))
-                if lhs != rhs:
-                    report.add("FN1", args)
-                lhs = mul(la(al, be), ga, mul(al, be, x, y), z)
-                rhs = mul(la(be, al), ga, mul(be, al, y, x), z)
-                if lhs != rhs:
-                    report.add("FN2", args)
-                n += 2
-    report.details["instances"] = n
+        raise TypeError("expected GradedBasisAlgebra or FamilyBilinear")
+    laws = _CLASSIC_LAWS[kind]
+    names = _ops(kind, laws, cubes, "the algebra")
+    report = _scan(LawReport(kind=f"classic_{kind}"), laws, cubes,
+                   dict.fromkeys(names, ((0,),)), b.dim, 1)
+    report.witnesses = [(law, args[:3]) for law, args in report.witnesses]
     return report
 
 
 # ---------------------------------------------------------------------------
 # Graded basis algebras
-
-_GRADED_OPS = {
-    "dendriform": ("prec", "succ"),
-    "duplicial": ("prec", "succ"),
-    "prelie": ("rhd",),
-}
 
 
 @dataclass
@@ -288,56 +332,33 @@ class GradedBasisAlgebra:
         return i * self.omega_size + color
 
     def product(self, op: str, x: Vec, y: Vec) -> Vec:
-        cube = self.ops[op]
-        out = [Fraction(0)] * self.dim
-        for i, xi in enumerate(x):
-            if xi:
-                for j, yj in enumerate(y):
-                    if yj:
-                        coeff = xi * yj
-                        for k, ck in enumerate(cube[i][j]):
-                            if ck:
-                                out[k] += coeff * ck
-        return tuple(out)
+        return _product(self.ops[op], x, y)
 
     def basis(self, n: int) -> Vec:
-        return tuple(Fraction(1 if k == n else 0) for k in range(self.dim))
+        return _basis(self.dim, n)
 
 
 def make_graded(a: FamilyBilinear, structure, kind: str) -> GradedBasisAlgebra:
     """Tensor the family with its parameter set: basis (i, color), with
     (x (x) al) op (y (x) be) = (x op_{al,be} y) (x) (al op be)."""
-    if kind not in _GRADED_OPS:
+    if kind not in _GRADED_KINDS:
         raise ValueError(f"unknown graded kind {kind!r}")
-    names = _GRADED_OPS[kind]
-    for name in names:
-        if name not in a.ops:
-            raise ValueError(f"kind {kind!r} needs operation {name!r}")
+    laws = _CLASSIC_LAWS[kind]
+    _ops(kind, laws, a.ops, "the family")
     w = a.omega_size
-    if isinstance(structure, OmegaStructure):
-        grade_tables = {"prec": structure.left_arrow, "succ": structure.right_arrow}
-    else:
-        grade_tables = {name: structure.table for name in names}
+    grades = _grade_tables(structure, kind, laws)
     if structure.size != w:
         raise ValueError("family and parameter structure sizes differ")
     dim = a.dim * w
     ops = {}
-    grades = {}
-    for name in names:
-        grade = grade_tables[name]
+    for name, grade in grades.items():
         cube = [[[Fraction(0)] * dim for _ in range(dim)] for _ in range(dim)]
-        for i, al in itertools.product(range(a.dim), range(w)):
-            row = i * w + al
-            for j, be in itertools.product(range(a.dim), range(w)):
-                col = j * w + be
-                target_color = grade[al][be]
-                source = a.cube(name, (al, be))[i][j]
-                dest = cube[row][col]
-                for k in range(a.dim):
-                    if source[k]:
-                        dest[k * w + target_color] += source[k]
+        for i, al, j, be in itertools.product(range(a.dim), range(w), repeat=2):
+            dest = cube[i * w + al][j * w + be]
+            for k, c in enumerate(a.cube(name, (al, be))[i][j]):
+                if c:
+                    dest[k * w + grade[al][be]] += c
         ops[name] = tuple(tuple(tuple(r) for r in plane) for plane in cube)
-        grades[name] = grade
     return GradedBasisAlgebra(a.dim, w, ops, grades)
 
 
@@ -346,107 +367,11 @@ def color_support_ok(g: GradedBasisAlgebra) -> bool:
     table prescribes."""
     w = g.omega_size
     for name, cube in g.ops.items():
-        grade = g.grades[name]
-        for row in range(g.dim):
-            al = row % w
-            for col in range(g.dim):
-                be = col % w
-                target = grade[al][be]
-                for k, v in enumerate(cube[row][col]):
-                    if v and k % w != target:
-                        return False
+        for row, col in itertools.product(range(g.dim), repeat=2):
+            target = g.grades[name][row % w][col % w]
+            if any(v and k % w != target for k, v in enumerate(cube[row][col])):
+                return False
     return True
-
-
-_CLASSIC_OPS = {
-    "dendriform": ("prec", "succ"),
-    "duplicial": ("prec", "succ"),
-    "prelie": ("rhd",),
-    "associative": ("mul",),
-}
-
-
-def _dense_tables(b, names):
-    if isinstance(b, GradedBasisAlgebra):
-        source = b.ops
-        dim = b.dim
-    elif isinstance(b, FamilyBilinear):
-        if b.omega_size != 1:
-            raise ValueError("classical checks need a graded algebra or a "
-                             "single-parameter family")
-        source = {name: by_param[(0, 0)] for name, by_param in b.ops.items()}
-        dim = b.dim
-    else:
-        raise TypeError("expected GradedBasisAlgebra or FamilyBilinear")
-    if set(names) <= set(source):
-        return dim, [source[n] for n in names]
-    if len(source) == len(names):
-        return dim, [source[n] for n in sorted(source)]
-    raise ValueError(f"operations {names} not found")
-
-
-def check_classic_laws(b, kind: str) -> LawReport:
-    """Classical (parameter-free) laws on all basis triples, exact."""
-    if kind not in _CLASSIC_OPS:
-        raise ValueError(f"unknown classical kind {kind!r}")
-    dim, tables = _dense_tables(b, _CLASSIC_OPS[kind])
-
-    def prod(cube, x: Vec, y: Vec) -> Vec:
-        out = [Fraction(0)] * dim
-        for i, xi in enumerate(x):
-            if xi:
-                for j, yj in enumerate(y):
-                    if yj:
-                        coeff = xi * yj
-                        for k, ck in enumerate(cube[i][j]):
-                            if ck:
-                                out[k] += coeff * ck
-        return tuple(out)
-
-    def basis(n: int) -> Vec:
-        return tuple(Fraction(1 if k == n else 0) for k in range(dim))
-
-    report = LawReport(kind=f"classic_{kind}")
-    n_checked = 0
-    for i, j, k in itertools.product(range(dim), repeat=3):
-        x, y, z = basis(i), basis(j), basis(k)
-        if kind == "associative":
-            mul = tables[0]
-            if prod(mul, prod(mul, x, y), z) != prod(mul, x, prod(mul, y, z)):
-                report.add("assoc", (i, j, k))
-            n_checked += 1
-        elif kind == "prelie":
-            rhd = tables[0]
-            lhs = _sub(prod(rhd, x, prod(rhd, y, z)), prod(rhd, prod(rhd, x, y), z))
-            rhs = _sub(prod(rhd, y, prod(rhd, x, z)), prod(rhd, prod(rhd, y, x), z))
-            if lhs != rhs:
-                report.add("prelie", (i, j, k))
-            n_checked += 1
-        else:
-            prec, succ = tables
-            if kind == "dendriform":
-                lhs = prod(prec, prod(prec, x, y), z)
-                rhs = _add(prod(prec, x, prod(prec, y, z)),
-                           prod(prec, x, prod(succ, y, z)))
-                if lhs != rhs:
-                    report.add("C1", (i, j, k))
-                if prod(prec, prod(succ, x, y), z) != prod(succ, x, prod(prec, y, z)):
-                    report.add("C2", (i, j, k))
-                lhs = prod(succ, x, prod(succ, y, z))
-                rhs = _add(prod(succ, prod(succ, x, y), z),
-                           prod(succ, prod(prec, x, y), z))
-                if lhs != rhs:
-                    report.add("C3", (i, j, k))
-            else:  # duplicial
-                if prod(prec, prod(prec, x, y), z) != prod(prec, x, prod(prec, y, z)):
-                    report.add("C1", (i, j, k))
-                if prod(prec, prod(succ, x, y), z) != prod(succ, x, prod(prec, y, z)):
-                    report.add("C2", (i, j, k))
-                if prod(succ, x, prod(succ, y, z)) != prod(succ, prod(succ, x, y), z):
-                    report.add("C3", (i, j, k))
-            n_checked += 3
-    report.details["instances"] = n_checked
-    return report
 
 
 # ---------------------------------------------------------------------------

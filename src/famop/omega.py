@@ -32,11 +32,13 @@ MAGMA_KINDS = ("associative", "twist_associative", "napnapprime", "perm")
 
 
 def _freeze_table(rows, size: int) -> Table:
-    table = tuple(tuple(int(v) for v in row) for row in rows)
+    table = tuple(tuple(row) for row in rows)
     if len(table) != size or any(len(row) != size for row in table):
         raise ValueError(f"table must be {size}x{size}")
     for row in table:
         for v in row:
+            if type(v) is not int:
+                raise ValueError(f"table entry {v!r} is not an integer")
             if not 0 <= v < size:
                 raise ValueError(f"table entry {v} out of range 0..{size - 1}")
     return table

@@ -119,6 +119,19 @@ def test_omega_check_pass_and_fail(capsys, proj2_file, tmp_path):
     assert payload["passed"] is False and payload["witnesses"]
 
 
+@pytest.mark.parametrize("entry", [1.9, "1", True])
+def test_omega_check_rejects_non_integer_entries(capsys, tmp_path, entry):
+    bad = tmp_path / "bad.json"
+    bad.write_text(json.dumps({"size": 2, "left": [[0, entry], [1, 0]],
+                               "right": [[0, 0], [0, 0]]}))
+    code, out, err = run(capsys, ["omega", "check", "--kind", "diassociative",
+                                  "--input", str(bad)])
+    assert code == 2
+    assert out == ""
+    assert len(err.strip().splitlines()) == 1
+    assert "not an integer" in err
+
+
 def test_omega_check_magma(capsys, magma_file):
     code, out, _ = run(capsys, ["omega", "check", "--kind", "perm",
                                 "--input", magma_file])

@@ -61,6 +61,13 @@ def test_verify_identities_report():
     assert report.details["order"] == 8
 
 
+def test_verify_identities_at_order_24():
+    # cubic_residual convolves literally, so it checks the recurrence's
+    # reused convolutions by an independent route
+    report = verify_identities(24)
+    assert report.passed, report.witnesses[:3]
+
+
 def test_evaluate_pins():
     series = r_sequence(5)
     assert evaluate(series.r(5), 1) == 42

@@ -4,7 +4,7 @@ from fractions import Fraction
 
 import pytest
 
-from famop import linear, omega
+from famop import omega
 from famop.errors import PreconditionError
 from famop.linear import (FamilyBilinear, check_classic_laws,
                           check_family_laws, color_support_ok,
@@ -25,10 +25,11 @@ def _one_dim(value_prec, value_succ, w=1):
 
 
 def test_zero_family_passes_every_kind():
-    for kind, structure in [("dendriform2", PROJ2), ("prelie2", PERM2),
-                            ("assoc_family", PERM2), ("twisted_family", PERM2),
-                            ("napnap_family", PERM2)]:
-        ops = linear._FAMILY_OPS[kind]
+    for kind, structure, ops in [("dendriform2", PROJ2, ("prec", "succ")),
+                                 ("prelie2", PERM2, ("rhd",)),
+                                 ("assoc_family", PERM2, ("mul",)),
+                                 ("twisted_family", PERM2, ("mul",)),
+                                 ("napnap_family", PERM2, ("mul",))]:
         a = zero_family(2, 2, ops)
         assert check_family_laws(a, structure, kind).passed
 
@@ -80,7 +81,8 @@ def test_rooted_tree_truncation_is_classically_prelie():
     assert p.dim == 8
     assert check_classic_laws(p, "prelie").passed
     # not associative: witnesses distinguish the bracketings
-    assert not check_classic_laws(p, "associative").passed
+    as_mul = FamilyBilinear(p.dim, 1, {"mul": p.ops["rhd"]})
+    assert not check_classic_laws(as_mul, "associative").passed
 
 
 def test_constant_families_pass_family_laws_over_valid_structures():
@@ -160,10 +162,11 @@ def test_case_decomposition_for_perm_structures():
     for i, j, k in itertools.product(range(2), repeat=3):
         x, y, z = (b.basis(v) for v in (i, j, k))
         for al, be, ga in itertools.product(range(2), repeat=3):
-            lhs = linear._sub(
-                b.product("rhd", (al, la(be, ga)), x, b.product("rhd", (be, ga), y, z)),
-                b.product("rhd", (la(al, be), ga), b.product("rhd", (al, be), x, y), z))
-            assert not any(lhs)
+            left = b.product("rhd", (al, la(be, ga)), x,
+                             b.product("rhd", (be, ga), y, z))
+            right = b.product("rhd", (la(al, be), ga),
+                              b.product("rhd", (al, be), x, y), z)
+            assert left == right
 
 
 def test_case_laws_imply_the_prelie_family_law_formally():
@@ -221,3 +224,194 @@ def test_family_validation():
         check_family_laws(zero_family(1, 2, ("prec", "succ")), PROJ2, "nonsense")
     with pytest.raises(ValueError):
         check_family_laws(zero_family(1, 3, ("prec", "succ")), PROJ2, "dendriform2")
+
+
+# ---------------------------------------------------------------------------
+# A literal restatement of every law through the products, independent of
+# the law table: the checkers must report exactly these witnesses.
+
+
+def _vadd(u, v):
+    return tuple(a + b for a, b in zip(u, v))
+
+
+def _vsub(u, v):
+    return tuple(a - b for a, b in zip(u, v))
+
+
+def _family_instances(kind, m, la, ra, x, y, z, al, be, ga):
+    """(law id, lhs, rhs) for one basis and parameter triple; ``m(op, p, q,
+    u, v)`` is the product of u and v at the parameter pair (p, q)."""
+    if kind == "dendriform2":
+        return [
+            ("F1", m("prec", la(al, be), ga, m("prec", al, be, x, y), z),
+             _vadd(m("prec", al, la(be, ga), x, m("prec", be, ga, y, z)),
+                   m("prec", al, ra(be, ga), x, m("succ", be, ga, y, z)))),
+            ("F2", m("prec", ra(al, be), ga, m("succ", al, be, x, y), z),
+             m("succ", al, la(be, ga), x, m("prec", be, ga, y, z))),
+            ("F3", m("succ", al, ra(be, ga), x, m("succ", be, ga, y, z)),
+             _vadd(m("succ", ra(al, be), ga, m("succ", al, be, x, y), z),
+                   m("succ", la(al, be), ga, m("prec", al, be, x, y), z))),
+        ]
+    if kind == "prelie2":
+        return [("PL",
+                 _vsub(m("rhd", al, la(be, ga), x, m("rhd", be, ga, y, z)),
+                       m("rhd", la(al, be), ga, m("rhd", al, be, x, y), z)),
+                 _vsub(m("rhd", be, la(al, ga), y, m("rhd", al, ga, x, z)),
+                       m("rhd", la(be, al), ga, m("rhd", be, al, y, x), z)))]
+    if kind == "assoc_family":
+        return [("FA", m("mul", al, la(be, ga), x, m("mul", be, ga, y, z)),
+                 m("mul", la(al, be), ga, m("mul", al, be, x, y), z))]
+    if kind == "twisted_family":
+        return [("FT", m("mul", al, la(be, ga), x, m("mul", be, ga, y, z)),
+                 tuple(-c for c in m("mul", la(be, al), ga,
+                                     m("mul", be, al, y, x), z)))]
+    assert kind == "napnap_family"
+    return [
+        ("FN1", m("mul", al, la(be, ga), x, m("mul", be, ga, y, z)),
+         m("mul", be, la(al, ga), y, m("mul", al, ga, x, z))),
+        ("FN2", m("mul", la(al, be), ga, m("mul", al, be, x, y), z),
+         m("mul", la(be, al), ga, m("mul", be, al, y, x), z)),
+    ]
+
+
+def _classic_instances(kind, m, x, y, z):
+    """(law id, lhs, rhs) for one basis triple; ``m(op, u, v)`` multiplies."""
+    if kind == "associative":
+        return [("assoc", m("mul", m("mul", x, y), z), m("mul", x, m("mul", y, z)))]
+    if kind == "prelie":
+        return [("prelie",
+                 _vsub(m("rhd", x, m("rhd", y, z)), m("rhd", m("rhd", x, y), z)),
+                 _vsub(m("rhd", y, m("rhd", x, z)), m("rhd", m("rhd", y, x), z)))]
+    if kind == "dendriform":
+        return [
+            ("C1", m("prec", m("prec", x, y), z),
+             _vadd(m("prec", x, m("prec", y, z)), m("prec", x, m("succ", y, z)))),
+            ("C2", m("prec", m("succ", x, y), z), m("succ", x, m("prec", y, z))),
+            ("C3", m("succ", x, m("succ", y, z)),
+             _vadd(m("succ", m("succ", x, y), z), m("succ", m("prec", x, y), z))),
+        ]
+    assert kind == "duplicial"
+    return [
+        ("C1", m("prec", m("prec", x, y), z), m("prec", x, m("prec", y, z))),
+        ("C2", m("prec", m("succ", x, y), z), m("succ", x, m("prec", y, z))),
+        ("C3", m("succ", x, m("succ", y, z)), m("succ", m("succ", x, y), z)),
+    ]
+
+
+def _reference_family(a, s, kind):
+    la, ra = (s.la, s.ra) if isinstance(s, OmegaStructure) else (s.mul, s.mul)
+
+    def m(op, p, q, u, v):
+        return a.product(op, (p, q), u, v)
+
+    witnesses, instances = [], 0
+    for i, j, k in itertools.product(range(a.dim), repeat=3):
+        x, y, z = a.basis(i), a.basis(j), a.basis(k)
+        for al, be, ga in itertools.product(range(a.omega_size), repeat=3):
+            for law, lhs, rhs in _family_instances(kind, m, la, ra, x, y, z,
+                                                   al, be, ga):
+                instances += 1
+                if lhs != rhs:
+                    witnesses.append((law, (i, j, k, al, be, ga)))
+    return witnesses, instances
+
+
+def _reference_classic(b, kind):
+    if isinstance(b, FamilyBilinear):
+        def m(op, u, v):
+            return b.product(op, (0, 0), u, v)
+    else:
+        m = b.product
+    witnesses, instances = [], 0
+    for i, j, k in itertools.product(range(b.dim), repeat=3):
+        x, y, z = b.basis(i), b.basis(j), b.basis(k)
+        for law, lhs, rhs in _classic_instances(kind, m, x, y, z):
+            instances += 1
+            if lhs != rhs:
+                witnesses.append((law, (i, j, k)))
+    return witnesses, instances
+
+
+def _assert_matches(report, reference):
+    witnesses, instances = reference
+    assert report.witnesses == witnesses
+    assert report.details["instances"] == instances
+
+
+FAMILY_KINDS = {
+    "dendriform2": ("diassociative", ("prec", "succ")),
+    "prelie2": ("perm", ("rhd",)),
+    "assoc_family": ("associative", ("mul",)),
+    "twisted_family": ("twist_associative", ("mul",)),
+    "napnap_family": ("napnapprime", ("mul",)),
+}
+
+
+@pytest.mark.parametrize("kind", sorted(FAMILY_KINDS))
+def test_family_laws_match_the_literal_restatement(kind):
+    prereq, ops = FAMILY_KINDS[kind]
+    failing = 0
+    for n, s in enumerate(omega.enumerate_structures(2, prereq)):
+        for dim in (1, 2):
+            a = random_family(dim, 2, ops, seed=100 * n + dim)
+            report = check_family_laws(a, s, kind)
+            _assert_matches(report, _reference_family(a, s, kind))
+            failing += not report.passed
+        nilpotent = [[[Fraction(0)] * 2 for _ in range(2)] for _ in range(2)]
+        nilpotent[0][0][1] = Fraction(1)
+        c = constant_family(2, 2, dict.fromkeys(ops, nilpotent))
+        _assert_matches(check_family_laws(c, s, kind), _reference_family(c, s, kind))
+    assert failing
+
+
+@pytest.mark.parametrize("kind", ["associative", "prelie", "dendriform", "duplicial"])
+def test_classic_laws_match_the_literal_restatement(kind):
+    ops = {"associative": ("mul",), "prelie": ("rhd",)}.get(kind, ("prec", "succ"))
+    for seed in range(20):
+        a = random_family(1 + seed % 2, 1, ops, seed=seed)
+        _assert_matches(check_classic_laws(a, kind), _reference_classic(a, kind))
+
+
+def test_graded_classic_laws_match_the_literal_restatement():
+    z = zinbiel_truncated(3, 2)
+    r = random_family(2, 2, ("prec", "succ"), seed=11)
+    for s in omega.enumerate_structures(2, "diassociative")[:6] + [
+            OmegaStructure(2, [[0, 1], [1, 0]], [[0, 0], [0, 0]])]:
+        for kind in ("dendriform", "duplicial"):
+            for a in (z, r):
+                g = make_graded(a, s, kind)
+                _assert_matches(check_classic_laws(g, kind), _reference_classic(g, kind))
+    p = prelie_rooted_truncated(3, 2)
+    for table in ALL_TABLES_2[::3]:
+        g = make_graded(p, Magma(2, table), "prelie")
+        _assert_matches(check_classic_laws(g, "prelie"), _reference_classic(g, "prelie"))
+
+
+def test_single_parameter_family_witnesses_are_the_classical_ones():
+    rename = {"F1": "C1", "F2": "C2", "F3": "C3", "PL": "prelie", "FA": "assoc"}
+    one = Magma(1, [[0]])
+    cases = [("dendriform2", "dendriform", ds_projections(1), ("prec", "succ")),
+             ("prelie2", "prelie", one, ("rhd",)),
+             ("assoc_family", "associative", one, ("mul",))]
+    for family_kind, kind, s, ops in cases:
+        failing = 0
+        for seed in range(10):
+            a = random_family(2, 1, ops, seed=seed)
+            family = check_family_laws(a, s, family_kind)
+            assert [(rename[law], args[:3]) for law, args in family.witnesses] == \
+                check_classic_laws(a, kind).witnesses
+            failing += not family.passed
+        assert failing
+
+
+def test_missing_tables_raise_typed_errors():
+    p = prelie_rooted_truncated(3, 2)
+    with pytest.raises(PreconditionError, match="'rhd'"):
+        make_graded(p, PROJ2, "prelie")
+    with pytest.raises(PreconditionError, match="'mul'"):
+        check_classic_laws(prelie_rooted_truncated(3, 1), "associative")
+    with pytest.raises(PreconditionError, match="'succ'"):
+        make_graded(constant_family(1, 2, {"prec": [[[1]]]}), PROJ2, "dendriform")
+    with pytest.raises(PreconditionError, match="'prec', 'succ'"):
+        check_family_laws(zero_family(1, 2, ("mul",)), PROJ2, "dendriform2")

@@ -357,3 +357,15 @@ def test_table_validation():
         OmegaStructure(2, [[0, 2], [0, 0]], [[0, 0], [0, 0]])
     with pytest.raises(ValueError):
         OmegaStructure(2, [[0, 0], [0, 0]], [[0, 0], [0, 0]], [[0, 0], [0, 0]], None)
+
+
+@pytest.mark.parametrize("entry", [1.9, 1.0, "1", True, None])
+def test_table_entries_must_be_integers(entry):
+    rows = [[0, entry], [0, 0]]
+    zero = [[0, 0], [0, 0]]
+    with pytest.raises(ValueError, match="not an integer"):
+        OmegaStructure(2, rows, zero)
+    with pytest.raises(ValueError, match="not an integer"):
+        OmegaStructure(2, zero, zero, zero, rows)
+    with pytest.raises(ValueError, match="not an integer"):
+        Magma(2, rows)

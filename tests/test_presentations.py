@@ -174,6 +174,9 @@ def test_mixing_inconsistency_names_a_class():
     {"prec": ((0, 0), (1, 1)), "succ": ((0, 0, 0),) * 3},    # two sizes
     {"prec": ((0, 0), (1, 1)), "succ": ((0, 2), (0, 1))},    # entry == size
     {"prec": ((0, 0), (1, 1)), "succ": ((0, -1), (0, 1))},   # negative entry
+    {"prec": ((0, 0), (1, 1)), "succ": ((0, 1.0), (0, 1))},  # float entry
+    {"prec": ((0, 0), (1, "1")), "succ": ((0, 0), (0, 1))},  # string entry
+    {"prec": ((0, 0), (1, True)), "succ": ((0, 0), (0, 1))}, # bool entry
 ])
 def test_mixing_rejects_malformed_tables(mix, tables):
     with pytest.raises(ValueError):
