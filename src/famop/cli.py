@@ -19,9 +19,9 @@ def _load_json(path: str):
         return json.load(fh)
 
 
-def _load_structure(path: str, kind: str | None = None):
+def _load_structure(path: str):
     data = _load_json(path)
-    if "table" in data:
+    if isinstance(data, dict) and "table" in data:
         return omega.Magma.from_json(data)
     return omega.OmegaStructure.from_json(data)
 
@@ -32,7 +32,7 @@ def _emit(payload: dict, summary: str) -> None:
 
 
 def _cmd_omega_check(args) -> int:
-    s = _load_structure(args.input, args.kind)
+    s = _load_structure(args.input)
     report = omega.check_laws(s, args.kind)
     _emit(report.to_json(),
           f"omega check {args.kind}: {'passed' if report.passed else 'FAILED'}")

@@ -14,6 +14,7 @@ integers.
 """
 from __future__ import annotations
 
+import itertools
 import os
 from dataclasses import dataclass
 from functools import lru_cache
@@ -42,6 +43,19 @@ def _freeze_table(rows, size: int) -> Table:
             if not 0 <= v < size:
                 raise ValueError(f"table entry {v} out of range 0..{size - 1}")
     return table
+
+
+def _json_fields(data, *keys) -> list:
+    """The named fields of a structure's JSON object, ``size`` an integer."""
+    if not isinstance(data, dict):
+        raise PreconditionError(
+            f"a structure must be a JSON object, not {type(data).__name__}")
+    missing = [key for key in keys if key not in data]
+    if missing:
+        raise PreconditionError(f"structure JSON lacks {', '.join(missing)}")
+    if type(data["size"]) is not int:
+        raise PreconditionError(f"structure size {data['size']!r} is not an integer")
+    return [data[key] for key in keys]
 
 
 @dataclass(frozen=True)
@@ -99,7 +113,7 @@ class OmegaStructure:
 
     @classmethod
     def from_json(cls, data: dict) -> "OmegaStructure":
-        return cls(data["size"], data["left"], data["right"],
+        return cls(*_json_fields(data, "size", "left", "right"),
                    data.get("ltri"), data.get("rtri"))
 
 
@@ -126,7 +140,7 @@ class Magma:
 
     @classmethod
     def from_json(cls, data: dict) -> "Magma":
-        return cls(data["size"], data["table"])
+        return cls(*_json_fields(data, "size", "table"))
 
 
 def ds_projections(size: int) -> OmegaStructure:
@@ -401,12 +415,61 @@ def _laws(*ids: str) -> tuple:
     return tuple(law for law in _DIA_LAWS + _DUP_LAWS + _EXT_LAWS if law[0] in ids)
 
 
+def _row_local(term, op: str, var: int) -> bool:
+    """Whether every ``op`` node of ``term`` has variable ``var`` as its left
+    operand and ``var`` occurs nowhere else: the term then reads one row of
+    ``op``, row ``var``."""
+    if isinstance(term, int):
+        return term != var
+    o, l, r = term
+    if o == op and l == var:
+        return _row_local(r, op, var)
+    return o != op and _row_local(l, op, var) and _row_local(r, op, var)
+
+
+def _arrow_pairs(size: int, laws) -> list:
+    """All pairs (left, right) of associative tables satisfying ``laws``, in
+    lex order.
+
+    A law row-local in ``ra`` holds for (left, right) iff it holds for left
+    and every constant-row table ``(r, ..., r)`` with r a row of right.  So
+    for each left arrow the rows passing those laws are found once, the
+    right arrows are walked by first row and kept when all their rows pass,
+    and only these survivors meet the remaining laws.
+    """
+    assoc = _assoc_tables(size)
+    local = tuple(law for law in laws
+                  if _row_local(law[1], "ra", 0) and _row_local(law[2], "ra", 0))
+    rest = tuple(law for law in laws if law not in local)
+    # Tables in name order: la, ra.
+    local_check = compile_laws(local)[1]
+    rest_check = compile_laws(rest)[1] if rest else None
+    by_first: dict = {}
+    for table in assoc:
+        by_first.setdefault(table[0], []).append(table)
+    rows = list(itertools.product(range(size), repeat=size))
+    pairs = []
+    for left in assoc:
+        passing = [r for r in rows if local_check(None, size, left, (r,) * size) is None]
+        ok = set(passing)
+        for r in passing:
+            for right in by_first.get(r, ()):
+                if (ok.issuperset(right) and
+                        (rest_check is None or rest_check(None, size, left, right) is None)):
+                    pairs.append((left, right))
+    return pairs
+
+
 def enumerate_structures(size: int, kind: str, force: bool = False) -> list:
     """All labeled structures of the given kind and size, lex-ordered by
     flattened tables.
 
     The default size bound is 3; size 4 needs ``force=True`` (or a raised
-    ``FAMOP_MAX_SIZE``) and can take minutes for the two-table kinds.
+    ``FAMOP_MAX_SIZE``).  Both arrows of a diassociative or duplicial
+    semigroup are associative (for diassociative the right arrow inherits it
+    from D4+D5), so the arrows are pairs of associative tables joined by
+    ``_arrow_pairs``.  At size 4 the join takes seconds; the triangle
+    search that ``edus`` runs on each of its 201501 pairs would take hours.
     """
     if kind not in KIND_LAWS:
         raise ValueError(f"unknown kind {kind!r}")
@@ -417,19 +480,13 @@ def enumerate_structures(size: int, kind: str, force: bool = False) -> list:
             f"size {size} exceeds the enumeration bound {size_bound(force)}; "
             f"pass force=True (size 4) or set FAMOP_MAX_SIZE")
 
+    if kind == "associative":
+        return [Magma(size, t) for t in _assoc_tables(size)]
     if kind in MAGMA_KINDS:
         return [Magma(size, t) for t in _search_single(size, KIND_LAWS[kind], "mul")]
 
-    # Both arrows of a diassociative or duplicial semigroup are associative
-    # products (for diassociative the right arrow inherits it from D4+D5),
-    # so associative tables are a sound prefilter; the remaining mixed laws
-    # are then checked on every pair.
-    assoc = _assoc_tables(size)
-    mixed = (_laws("D2", "D3", "D4", "D5") if kind == "diassociative"
-             else _laws("U2"))
-    check = compile_laws(mixed)[1]  # tables in name order: la, ra
-    pairs = [(left, right) for left in assoc for right in assoc
-             if check(None, size, left, right) is None]
+    pairs = _arrow_pairs(size, _laws("D2", "D3", "D4", "D5") if kind == "diassociative"
+                         else _laws("U2"))
     if kind != "edus":
         return [OmegaStructure(size, l, r) for l, r in pairs]
 

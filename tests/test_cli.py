@@ -132,6 +132,23 @@ def test_omega_check_rejects_non_integer_entries(capsys, tmp_path, entry):
     assert "not an integer" in err
 
 
+@pytest.mark.parametrize("data", [{"size": 2}, [1, 2]])
+@pytest.mark.parametrize("argv", [
+    ["omega", "check", "--kind", "duplicial", "--input"],
+    ["family", "check", "--mode", "two_param", "--omega"],
+    ["trees", "product", "--mode", "prec2", "--param", "0,1",
+     "(x . . _ _)", "(y . . _ _)", "--omega"],
+    ["present", "mix", "--preset", "duplicial", "--arity", "3", "--omega"],
+])
+def test_malformed_structure_file_is_a_usage_error(capsys, tmp_path, data, argv):
+    bad = tmp_path / "bad.json"
+    bad.write_text(json.dumps(data))
+    code, out, err = run(capsys, argv + [str(bad)])
+    assert code == 2
+    assert out == ""
+    assert len(err.strip().splitlines()) == 1
+
+
 def test_omega_check_magma(capsys, magma_file):
     code, out, _ = run(capsys, ["omega", "check", "--kind", "perm",
                                 "--input", magma_file])

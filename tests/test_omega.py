@@ -19,7 +19,7 @@ ALL_TABLES_2 = [tuple(tuple(cells[i * 2:(i + 1) * 2]) for i in range(2))
 # --- independent oracles: the laws restated as plain lambdas -----------------
 
 def _dia_ok(la, ra):
-    r = range(2)
+    r = range(len(la))
     return all(
         la[la[a][b]][c] == la[a][la[b][c]] == la[a][ra[b][c]]
         and la[ra[a][b]][c] == ra[a][la[b][c]]
@@ -28,7 +28,7 @@ def _dia_ok(la, ra):
 
 
 def _dup_ok(la, ra):
-    r = range(2)
+    r = range(len(la))
     return all(
         la[la[a][b]][c] == la[a][la[b][c]]
         and la[ra[a][b]][c] == ra[a][la[b][c]]
@@ -96,8 +96,8 @@ def test_enumeration_matches_brute_force_oracle():
                for s in enumerate_structures(2, "diassociative")]
     got_dup = [(s.left_arrow, s.right_arrow)
                for s in enumerate_structures(2, "duplicial")]
-    assert sorted(got_dia) == sorted(dia)
-    assert sorted(got_dup) == sorted(dup)
+    assert got_dia == dia
+    assert got_dup == dup
     # pinned regression counts
     assert len(dia) == 13
     assert len(dup) == 27
@@ -209,6 +209,60 @@ def test_size3_counts_and_lex_order(kind, count):
     flats = [s.flat() for s in found]
     assert flats == sorted(set(flats))
     assert all(check_laws(s, kind).passed for s in found)
+
+
+# --- the row-factored arrow join against a literal pair scan ----------------
+
+def _assoc_ok(t):
+    r = range(len(t))
+    return all(t[t[a][b]][c] == t[a][t[b][c]] for a in r for b in r for c in r)
+
+
+def _u2_ok(la, ra):
+    r = range(len(la))
+    return all(la[ra[a][b]][c] == ra[a][la[b][c]] for a in r for b in r for c in r)
+
+
+ALL_TABLES_3 = [tuple(tuple(cells[i * 3:(i + 1) * 3]) for i in range(3))
+                for cells in itertools.product(range(3), repeat=9)]
+ASSOC_3 = [t for t in ALL_TABLES_3 if _assoc_ok(t)]
+
+
+def test_size3_arrow_kinds_match_the_literal_pair_scan():
+    assert len(ASSOC_3) == 113
+    assert [m.table for m in enumerate_structures(3, "associative")] == ASSOC_3
+    for kind, ok in (("diassociative", _dia_ok), ("duplicial", _dup_ok)):
+        expected = [(l, r) for l in ASSOC_3 for r in ASSOC_3 if ok(l, r)]
+        got = [(s.left_arrow, s.right_arrow) for s in enumerate_structures(3, kind)]
+        assert got == expected
+
+
+def test_row_local_marks_exactly_the_one_row_laws():
+    marked = [law[0] for law in omega._DIA_LAWS + omega._DUP_LAWS
+              if omega._row_local(law[1], "ra", 0) and omega._row_local(law[2], "ra", 0)]
+    assert marked == ["D3", "U2"]
+
+
+_tables_3 = st.one_of(
+    st.sampled_from(ASSOC_3),
+    st.lists(st.tuples(*[st.integers(0, 2)] * 3), min_size=3, max_size=3).map(tuple))
+
+
+@settings(max_examples=300, deadline=None)
+@given(_tables_3, _tables_3)
+def test_u2_reads_one_row_of_the_right_arrow(la, ra):
+    assert _u2_ok(la, ra) == all(_u2_ok(la, (row,) * 3) for row in ra)
+
+
+@pytest.mark.slow
+@pytest.mark.parametrize("kind,count", [("duplicial", 201501), ("diassociative", 15277)])
+def test_size4_arrow_counts(kind, count):
+    found = enumerate_structures(4, kind, force=True)
+    assert len(found) == count
+    flats = [s.flat() for s in found]
+    assert flats == sorted(set(flats))
+    for s in random.Random(4).sample(found, 200):
+        assert check_laws(s, kind).passed
 
 
 # --- the law compiler against the interpreter -------------------------------
@@ -350,6 +404,25 @@ def test_structure_json_roundtrip():
     assert OmegaStructure.from_json(d.to_json()) == d
     m = Magma(2, [[0, 1], [1, 0]])
     assert Magma.from_json(m.to_json()) == m
+
+
+_ZERO = [[0, 0], [0, 0]]
+
+
+@pytest.mark.parametrize("cls,data", [
+    (OmegaStructure, [1, 2]), (OmegaStructure, "left"), (OmegaStructure, None),
+    (OmegaStructure, {"size": 2}), (OmegaStructure, {"size": 2, "left": _ZERO}),
+    (OmegaStructure, {"left": _ZERO, "right": _ZERO}),
+    (OmegaStructure, {"size": 2.0, "left": _ZERO, "right": _ZERO}),
+    (OmegaStructure, {"size": True, "left": [[0]], "right": [[0]]}),
+    (OmegaStructure, {"size": "2", "left": _ZERO, "right": _ZERO}),
+    (Magma, [1, 2]), (Magma, "table"), (Magma, 2),
+    (Magma, {"size": 2}), (Magma, {"table": _ZERO}),
+    (Magma, {"size": 2.0, "table": _ZERO}), (Magma, {"size": True, "table": [[0]]}),
+])
+def test_malformed_structure_json_raises_precondition_error(cls, data):
+    with pytest.raises(PreconditionError):
+        cls.from_json(data)
 
 
 def test_table_validation():
