@@ -21,7 +21,8 @@ from dataclasses import dataclass
 
 from . import trees
 from .errors import PreconditionError
-from .omega import OmegaStructure, first_violation, passes
+from .omega import (GENERATOR_OPS, RELATIONS, OmegaStructure, first_violation,
+                    passes, tables_by_op)
 from .report import LawReport
 from .trees import Node, serialize
 
@@ -189,22 +190,31 @@ def succ1(t: Node, u: Node, omega: int, e: OmegaStructure) -> Node:
 # Law tables for the checkers
 
 
-def _law_tp1(s, t, u, a, b, c, ops):
-    lhs = _prec2_raw(_prec2_raw(s, t, a, b, ops), u, ops.la(a, b), c, ops)
-    rhs = _prec2_raw(s, _prec2_raw(t, u, b, c, ops), a, ops.la(b, c), ops)
-    return lhs, rhs
+_PRODUCTS2 = {"prec": _prec2_raw, "succ": _succ2_raw}
 
 
-def _law_tp2(s, t, u, a, b, c, ops):
-    lhs = _prec2_raw(_succ2_raw(s, t, a, b, ops), u, ops.ra(a, b), c, ops)
-    rhs = _succ2_raw(s, _prec2_raw(t, u, b, c, ops), a, ops.la(b, c), ops)
-    return lhs, rhs
+def _tree_law(relation):
+    """The two-parameter law of one duplicial relation on typed trees.
 
+    A variable is a tree with its parameter; a node whose operands carry p
+    and q runs the generator's product at (p, q) and carries its grade,
+    the generator's arrow at (p, q)."""
+    ((lhs, _),), ((rhs, _),) = relation
 
-def _law_tp3(s, t, u, a, b, c, ops):
-    lhs = _succ2_raw(s, _succ2_raw(t, u, b, c, ops), a, ops.ra(b, c), ops)
-    rhs = _succ2_raw(_succ2_raw(s, t, a, b, ops), u, ops.ra(a, b), c, ops)
-    return lhs, rhs
+    def law(s, t, u, a, b, c, ops):
+        leaves = ((s, a), (t, b), (u, c))
+
+        def value(term):
+            if isinstance(term, int):
+                return leaves[term]
+            gen, left, right = term
+            (x, p), (y, q) = value(left), value(right)
+            return (_PRODUCTS2[gen](x, y, p, q, ops),
+                    getattr(ops, GENERATOR_OPS[gen])(p, q))
+
+        return value(lhs)[0], value(rhs)[0]
+
+    return law
 
 
 def _law_op1(s, t, u, a, b, c, ops):
@@ -229,7 +239,8 @@ def _law_op3(s, t, u, a, b, c, ops):
 
 
 _MODE_LAWS = {
-    "two_param": (("TP1", _law_tp1), ("TP2", _law_tp2), ("TP3", _law_tp3)),
+    "two_param": tuple(zip(("TP1", "TP2", "TP3"),
+                           map(_tree_law, RELATIONS["duplicial"].relations))),
     "one_param": (("OP1", _law_op1), ("OP2", _law_op2), ("OP3", _law_op3)),
 }
 _MODE_PARAMS = {"two_param": 3, "one_param": 2}
@@ -361,8 +372,8 @@ def _check_factored(mode: str, o: OmegaStructure, max_vertices: int,
                     first_witness_only: bool) -> LawReport:
     report = LawReport(kind=mode)
     obligations = _obligations(mode, max_vertices)
-    tables = {"la": o.left_arrow, "ra": o.right_arrow,
-              "lt": o.left_tri, "rt": o.right_tri}
+    tables = tables_by_op(o, ("la", "ra", "lt", "rt") if mode == "one_param"
+                          else ("la", "ra"))
     for ob in obligations:
         found = first_violation((ob.law,), tables, o.size)
         if found is not None:

@@ -5,13 +5,13 @@ symbol and every parameter pair, a d x d x d array of structure
 constants: ``c[i][j][k]`` is the coefficient of basis vector k in the
 product of basis vectors i and j.  All arithmetic is Fraction-exact.
 
-Every law is stated once, as its classical relation between linear
-combinations of tuple terms in x, y, z.  A family law is the same relation
-with parameters: a variable carries its own parameter, and a product node
-whose operands carry p and q uses the constants of the pair (p, q) and
-carries ``grade[op][p][q]``, read in the parameter structure (prec the
-left arrow, succ the right arrow, rhd and mul the magma product).  One
-scan checks every law instance over all basis and parameter triples; a
+Every law is a classical relation of ``omega.RELATIONS``, a signed
+relation between linear combinations of tuple terms in x, y, z.  A family
+law is the same relation with parameters: a variable carries its own
+parameter, and a product node whose operands carry p and q uses the
+constants of the pair (p, q) and carries ``grade[op][p][q]``, read in the
+parameter table that ``omega.GENERATOR_OPS`` assigns to ``op``.  One scan
+checks every law instance over all basis and parameter triples; a
 classical check is the same scan with a single parameter value.
 """
 from __future__ import annotations
@@ -25,7 +25,7 @@ from operator import add, neg, sub
 
 from . import omega as omega_mod
 from .errors import PreconditionError
-from .omega import Magma, OmegaStructure
+from .omega import RELATIONS
 from .report import LawReport
 
 Vec = tuple  # coefficient tuple over the basis
@@ -140,57 +140,34 @@ def random_family(dim: int, omega_size: int, op_names, seed: int,
 
 
 # ---------------------------------------------------------------------------
-# Laws.  A law is (id, lhs, rhs); each side is a tuple of (term, sign), and
-# each term is an omega tuple term over the variables x = 0, y = 1, z = 2.
+# Laws.  A law is (id, lhs, rhs): one signed relation of
+# ``omega.RELATIONS``, each side a tuple of (term, sign) over the variables
+# x = 0, y = 1, z = 2.
 
-
-def _op(name: str):
-    return lambda left, right: (name, left, right)
-
-
-PREC, SUCC, RHD, MUL = _op("prec"), _op("succ"), _op("rhd"), _op("mul")
 X, Y, Z = 0, 1, 2
 
-_ASSOCIATIVE = ((((MUL(MUL(X, Y), Z), 1),), ((MUL(X, MUL(Y, Z)), 1),)),)
-_PRELIE = ((((RHD(X, RHD(Y, Z)), 1), (RHD(RHD(X, Y), Z), -1)),
-            ((RHD(Y, RHD(X, Z)), 1), (RHD(RHD(Y, X), Z), -1))),)
-_DENDRIFORM = (
-    (((PREC(PREC(X, Y), Z), 1),),
-     ((PREC(X, PREC(Y, Z)), 1), (PREC(X, SUCC(Y, Z)), 1))),
-    (((PREC(SUCC(X, Y), Z), 1),), ((SUCC(X, PREC(Y, Z)), 1),)),
-    (((SUCC(X, SUCC(Y, Z)), 1),),
-     ((SUCC(SUCC(X, Y), Z), 1), (SUCC(PREC(X, Y), Z), 1))),
-)
-_DUPLICIAL = (
-    (((PREC(PREC(X, Y), Z), 1),), ((PREC(X, PREC(Y, Z)), 1),)),
-    (((PREC(SUCC(X, Y), Z), 1),), ((SUCC(X, PREC(Y, Z)), 1),)),
-    (((SUCC(X, SUCC(Y, Z)), 1),), ((SUCC(SUCC(X, Y), Z), 1),)),
-)
-_TWISTED = ((((MUL(X, MUL(Y, Z)), 1),), ((MUL(MUL(Y, X), Z), -1),)),)
-_NAPNAP = (
-    (((MUL(X, MUL(Y, Z)), 1),), ((MUL(Y, MUL(X, Z)), 1),)),
-    (((MUL(MUL(X, Y), Z), 1),), ((MUL(MUL(Y, X), Z), 1),)),
-)
 
-
-def _named(ids, relations) -> tuple:
-    return tuple((law_id,) + relation for law_id, relation in zip(ids, relations))
+def _named(ids, name: str) -> tuple:
+    return tuple((law_id,) + relation
+                 for law_id, relation in zip(ids, RELATIONS[name].relations))
 
 
 _CLASSIC_LAWS = {
-    "dendriform": _named(("C1", "C2", "C3"), _DENDRIFORM),
-    "duplicial": _named(("C1", "C2", "C3"), _DUPLICIAL),
-    "prelie": _named(("prelie",), _PRELIE),
-    "associative": _named(("assoc",), _ASSOCIATIVE),
+    "dendriform": _named(("C1", "C2", "C3"), "dendriform"),
+    "duplicial": _named(("C1", "C2", "C3"), "duplicial"),
+    "prelie": _named(("prelie",), "prelie"),
+    "associative": _named(("assoc",), "associative"),
 }
 
-# Each family kind: its laws and the law kind of its parameter structure.
+# Each family kind: its laws and the kind of its parameter structure, the
+# one its presentation defines.
 _FAMILY_LAWS = {
-    "dendriform2": (_named(("F1", "F2", "F3"), _DENDRIFORM), "diassociative"),
-    "prelie2": (_named(("PL",), _PRELIE), "perm"),
-    "assoc_family": (_named(("FA",), _ASSOCIATIVE), "associative"),
-    "twisted_family": (_named(("FT",), _TWISTED), "twist_associative"),
-    "napnap_family": (_named(("FN1", "FN2"), _NAPNAP), "napnapprime"),
+    kind: (_named(ids, name), RELATIONS[name].kind)
+    for kind, ids, name in (("dendriform2", ("F1", "F2", "F3"), "dendriform"),
+                            ("prelie2", ("PL",), "prelie"),
+                            ("assoc_family", ("FA",), "associative"),
+                            ("twisted_family", ("FT",), "twist"),
+                            ("napnap_family", ("FN1", "FN2"), "napnap"))
 }
 
 _GRADED_KINDS = ("dendriform", "duplicial", "prelie")
@@ -255,19 +232,6 @@ def _scan(report: LawReport, laws, cubes, grades, dim: int, w: int) -> LawReport
     return report
 
 
-def _grade_tables(structure, kind: str, laws) -> dict:
-    """The parameter table of each operation of the laws: the left arrow
-    for prec and the right arrow for succ of an OmegaStructure, the product
-    of a Magma for every operation."""
-    tables = {}
-    if isinstance(structure, OmegaStructure):
-        tables = {"prec": structure.left_arrow, "succ": structure.right_arrow}
-    elif isinstance(structure, Magma):
-        tables = dict.fromkeys(("prec", "succ", "rhd", "mul"), structure.table)
-    return {name: tables[name]
-            for name in _ops(kind, laws, tables, "the parameter structure")}
-
-
 def check_family_laws(a: FamilyBilinear, structure, kind: str) -> LawReport:
     """Exact check of the family laws of ``kind`` on all basis and
     parameter triples.  The parameter structure must satisfy its matching
@@ -281,11 +245,11 @@ def check_family_laws(a: FamilyBilinear, structure, kind: str) -> LawReport:
         law, args = pre_report.witnesses[0]
         raise PreconditionError(
             f"parameter structure fails {prereq} identity {law} at {args}")
-    _ops(kind, laws, a.ops, "the family")
+    names = _ops(kind, laws, a.ops, "the family")
     if a.omega_size != structure.size:
         raise ValueError("family and parameter structure sizes differ")
     return _scan(LawReport(kind=kind), laws, a.ops,
-                 _grade_tables(structure, kind, laws), a.dim, a.omega_size)
+                 omega_mod.tables_by_op(structure, names), a.dim, a.omega_size)
 
 
 def check_classic_laws(b, kind: str) -> LawReport:
@@ -344,9 +308,8 @@ def make_graded(a: FamilyBilinear, structure, kind: str) -> GradedBasisAlgebra:
     if kind not in _GRADED_KINDS:
         raise ValueError(f"unknown graded kind {kind!r}")
     laws = _CLASSIC_LAWS[kind]
-    _ops(kind, laws, a.ops, "the family")
     w = a.omega_size
-    grades = _grade_tables(structure, kind, laws)
+    grades = omega_mod.tables_by_op(structure, _ops(kind, laws, a.ops, "the family"))
     if structure.size != w:
         raise ValueError("family and parameter structure sizes differ")
     dim = a.dim * w

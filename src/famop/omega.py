@@ -4,7 +4,8 @@ A parameter structure is a finite set ``{0..w-1}`` carrying binary
 operation tables: two arrows (``la``/``ra``, written ``<-``/``->``) for
 diassociative and duplicial semigroups, optionally two triangles
 (``lt``/``rt``) for extended duplicial semigroups, or a single table for
-plain magmas (associative, twist-associative, NAP+NAP', perm).
+plain magmas (associative, twist-associative, NAP+NAP', perm).  All their
+laws but the triangle laws come from the presented relations ``RELATIONS``.
 
 Everything is exact and exhaustive: laws are tuple terms compiled to
 straight-line checks over all triples of the carrier, and enumeration
@@ -18,6 +19,7 @@ import itertools
 import os
 from dataclasses import dataclass
 from functools import lru_cache
+from typing import NamedTuple
 
 from .errors import PreconditionError, ResourceBoundError
 from .report import LawReport
@@ -33,16 +35,19 @@ MAGMA_KINDS = ("associative", "twist_associative", "napnapprime", "perm")
 
 
 def _freeze_table(rows, size: int) -> Table:
-    table = tuple(tuple(row) for row in rows)
-    if len(table) != size or any(len(row) != size for row in table):
+    if not isinstance(rows, (list, tuple)) or len(rows) != size:
         raise ValueError(f"table must be {size}x{size}")
-    for row in table:
+    table = []
+    for row in rows:
+        if not isinstance(row, (list, tuple)) or len(row) != size:
+            raise ValueError(f"table must be {size}x{size}")
         for v in row:
             if type(v) is not int:
                 raise ValueError(f"table entry {v!r} is not an integer")
             if not 0 <= v < size:
                 raise ValueError(f"table entry {v} out of range 0..{size - 1}")
-    return table
+        table.append(tuple(row))
+    return tuple(table)
 
 
 def _json_fields(data, *keys) -> list:
@@ -161,19 +166,85 @@ def from_semigroup(m: Magma) -> OmegaStructure:
 # Laws.  A law is (id, lhs, rhs) where each side is a term tree: an integer
 # 0..2 names a variable, a tuple (op, l, r) applies an operation table.
 
-_DIA_LAWS = (
-    ("D1", ("la", ("la", 0, 1), 2), ("la", 0, ("la", 1, 2))),
-    ("D2", ("la", 0, ("la", 1, 2)), ("la", 0, ("ra", 1, 2))),
-    ("D3", ("la", ("ra", 0, 1), 2), ("ra", 0, ("la", 1, 2))),
-    ("D4", ("ra", ("ra", 0, 1), 2), ("ra", ("la", 0, 1), 2)),
-    ("D5", ("ra", ("la", 0, 1), 2), ("ra", 0, ("ra", 1, 2))),
-)
 
-_DUP_LAWS = (
-    ("U1", ("la", ("la", 0, 1), 2), ("la", 0, ("la", 1, 2))),
-    ("U2", ("la", ("ra", 0, 1), 2), ("ra", 0, ("la", 1, 2))),
-    ("U3", ("ra", ("ra", 0, 1), 2), ("ra", 0, ("ra", 1, 2))),
-)
+class Presented(NamedTuple):
+    """A presented relation set and the parameter structure it defines.
+
+    ``relations`` are signed relations ``(lhs, rhs)`` over x = 0, y = 1,
+    z = 2, each side a tuple of ``(term, sign)``.  The parameter structure
+    of kind ``kind`` is the one on which every monomial of a relation
+    evaluates alike; its laws ``(id, relation, i, j)`` say that monomial i
+    equals monomial j, numbered lhs first with the signs dropped, read in
+    the tables that ``GENERATOR_OPS`` assigns to the generators.
+    """
+
+    generators: tuple
+    mode: str  # "planar" | "labeled"
+    relations: tuple
+    kind: str
+    laws: tuple
+
+
+def _presented() -> dict:
+    p, s, m, r = "prec", "succ", "mul", "rhd"
+    x, y, z = 0, 1, 2
+    return {
+        "dendriform": Presented(
+            (p, s), "planar",
+            (((((p, (p, x, y), z), 1),),
+              (((p, x, (p, y, z)), 1), ((p, x, (s, y, z)), 1))),
+             ((((p, (s, x, y), z), 1),), (((s, x, (p, y, z)), 1),)),
+             ((((s, x, (s, y, z)), 1),),
+              (((s, (s, x, y), z), 1), ((s, (p, x, y), z), 1)))),
+            "diassociative",
+            (("D1", 0, 0, 1), ("D2", 0, 1, 2), ("D3", 1, 0, 1),
+             ("D4", 2, 1, 2), ("D5", 2, 2, 0))),
+        "duplicial": Presented(
+            (p, s), "planar",
+            (((((p, (p, x, y), z), 1),), (((p, x, (p, y, z)), 1),)),
+             ((((p, (s, x, y), z), 1),), (((s, x, (p, y, z)), 1),)),
+             ((((s, x, (s, y, z)), 1),), (((s, (s, x, y), z), 1),))),
+            "duplicial", (("U1", 0, 0, 1), ("U2", 1, 0, 1), ("U3", 2, 1, 0))),
+        "associative": Presented(
+            (m,), "planar",
+            (((((m, (m, x, y), z), 1),), (((m, x, (m, y, z)), 1),)),),
+            "associative", (("A1", 0, 0, 1),)),
+        "twist": Presented(
+            (m,), "labeled",
+            (((((m, x, (m, y, z)), 1),), (((m, (m, y, x), z), -1),)),),
+            "twist_associative", (("T1", 0, 0, 1),)),
+        "napnap": Presented(
+            (m,), "labeled",
+            (((((m, x, (m, y, z)), 1),), (((m, y, (m, x, z)), 1),)),
+             ((((m, (m, x, y), z), 1),), (((m, (m, y, x), z), 1),))),
+            "napnapprime", (("N1", 0, 0, 1), ("N2", 1, 0, 1))),
+        "prelie": Presented(
+            (r,), "labeled",
+            (((((r, x, (r, y, z)), 1), ((r, (r, x, y), z), -1)),
+              (((r, y, (r, x, z)), 1), ((r, (r, y, x), z), -1))),),
+            "perm", (("P1", 0, 1, 0), ("P2", 0, 0, 2), ("P3", 0, 1, 3))),
+    }
+
+
+RELATIONS = _presented()
+
+# The parameter table that each generator reads.
+GENERATOR_OPS = {"prec": "la", "succ": "ra", "rhd": "mul", "mul": "mul"}
+
+
+def monomials(relation) -> list:
+    """The terms of a signed relation, lhs first, signs dropped."""
+    lhs, rhs = relation
+    return [term for term, _ in lhs + rhs]
+
+
+def _in_tables(term):
+    """A monomial read in the parameter tables."""
+    if isinstance(term, int):
+        return term
+    gen, left, right = term
+    return (GENERATOR_OPS[gen], _in_tables(left), _in_tables(right))
+
 
 # Compatibility of the triangles with the arrows in an extended duplicial
 # semigroup: E0/E00 are the absorption laws, E1/E2 govern lt, E3/E4 govern rt.
@@ -186,50 +257,55 @@ _EXT_LAWS = (
     ("E4", ("ra", ("rt", 0, ("ra", 1, 2)), ("rt", 1, 2)), ("rt", ("ra", 0, 1), 2)),
 )
 
-_ASSOC_LAWS = (
-    ("A1", ("mul", ("mul", 0, 1), 2), ("mul", 0, ("mul", 1, 2))),
-)
 
-_TWIST_LAWS = (
-    ("T1", ("mul", 0, ("mul", 1, 2)), ("mul", ("mul", 1, 0), 2)),
-)
+def _kind_laws() -> dict:
+    """The laws of each parameter kind, read off its presented relations;
+    ``edus`` adds the triangle laws to the duplicial ones."""
+    out = {}
+    for entry in RELATIONS.values():
+        out[entry.kind] = tuple(
+            (law_id, _in_tables(terms[i]), _in_tables(terms[j]))
+            for law_id, rel, i, j in entry.laws
+            for terms in [monomials(entry.relations[rel])])
+        if entry.kind == "duplicial":
+            out["edus"] = out["duplicial"] + _EXT_LAWS
+    return out
 
-_NAP_LAWS = (
-    ("N1", ("mul", 0, ("mul", 1, 2)), ("mul", 1, ("mul", 0, 2))),
-    ("N2", ("mul", ("mul", 0, 1), 2), ("mul", ("mul", 1, 0), 2)),
-)
 
-_PERM_LAWS = (
-    ("P1", ("mul", ("mul", 0, 1), 2), ("mul", 0, ("mul", 1, 2))),
-    ("P2", ("mul", 0, ("mul", 1, 2)), ("mul", 1, ("mul", 0, 2))),
-    ("P3", ("mul", ("mul", 0, 1), 2), ("mul", ("mul", 1, 0), 2)),
-)
+KIND_LAWS = _kind_laws()
 
-KIND_LAWS = {
-    "diassociative": _DIA_LAWS,
-    "duplicial": _DUP_LAWS,
-    "edus": _DUP_LAWS + _EXT_LAWS,
-    "associative": _ASSOC_LAWS,
-    "twist_associative": _TWIST_LAWS,
-    "napnapprime": _NAP_LAWS,
-    "perm": _PERM_LAWS,
-}
+_OP_FIELDS = {"la": "left_arrow", "ra": "right_arrow", "lt": "left_tri",
+              "rt": "right_tri", "mul": "table"}
+
+
+def tables_by_op(s, names) -> dict:
+    """The table of ``s`` that each name reads, keyed by name.  A name is a
+    table operation (la, ra, lt, rt, mul) or a generator, which reads the
+    table ``GENERATOR_OPS`` gives it."""
+    tables = {}
+    for name in names:
+        field = _OP_FIELDS.get(GENERATOR_OPS.get(name, name))
+        if field is None:
+            raise ValueError(f"no table for {name!r}")
+        tables[name] = getattr(s, field, None)
+        if tables[name] is None:
+            raise PreconditionError(f"{name!r} reads the {field} table, which "
+                                    f"the {type(s).__name__} lacks")
+    return tables
 
 
 def _tables_of(s, kind: str) -> dict:
     if kind in MAGMA_KINDS:
         if not isinstance(s, Magma):
             raise PreconditionError(f"kind {kind!r} requires a Magma")
-        return {"mul": s.table}
+        return tables_by_op(s, ("mul",))
     if not isinstance(s, OmegaStructure):
         raise PreconditionError(f"kind {kind!r} requires an OmegaStructure")
-    tables = {"la": s.left_arrow, "ra": s.right_arrow}
-    if kind == "edus":
-        if not s.has_triangles:
-            raise PreconditionError("kind 'edus' requires both triangle tables")
-        tables["lt"] = s.left_tri
-        tables["rt"] = s.right_tri
-    return tables
+    if kind != "edus":
+        return tables_by_op(s, ("la", "ra"))
+    if not s.has_triangles:
+        raise PreconditionError("kind 'edus' requires both triangle tables")
+    return tables_by_op(s, ("la", "ra", "lt", "rt"))
 
 
 def eval_term(term, tables: dict, env):
@@ -408,11 +484,12 @@ def _search_single(size: int, laws, op: str, context: dict | None = None):
 
 @lru_cache(maxsize=16)
 def _assoc_tables(size: int) -> tuple[Table, ...]:
-    return tuple(_search_single(size, _ASSOC_LAWS, "mul"))
+    return tuple(_search_single(size, KIND_LAWS["associative"], "mul"))
 
 
 def _laws(*ids: str) -> tuple:
-    return tuple(law for law in _DIA_LAWS + _DUP_LAWS + _EXT_LAWS if law[0] in ids)
+    return tuple(law for law in KIND_LAWS["diassociative"] + KIND_LAWS["edus"]
+                 if law[0] in ids)
 
 
 def _row_local(term, op: str, var: int) -> bool:

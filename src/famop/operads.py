@@ -273,10 +273,6 @@ _OPERADS = {
 }
 
 
-def _carrier_of(x):
-    return x.carrier
-
-
 def _mu(which: str, left_label, right_label):
     if which == "pairs":
         return PairElement(frozenset({left_label, right_label}), (left_label, right_label))

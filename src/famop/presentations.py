@@ -16,9 +16,9 @@ import itertools
 import warnings
 from dataclasses import dataclass, field
 
-from .errors import (MixingConsistencyError, ParseError, PreconditionError,
-                     ResourceBoundError)
-from .omega import _freeze_table, eval_term, first_violation
+from .errors import MixingConsistencyError, ParseError, ResourceBoundError
+from .omega import (RELATIONS, _freeze_table, eval_term, first_violation,
+                    monomials, tables_by_op)
 from .trees import tokenize
 
 Term = object  # int leaf label | (gen, Term, Term)
@@ -109,33 +109,15 @@ class Presentation:
 
 
 def preset(name: str) -> Presentation:
-    """Named presentations: duplicial, dendriform, prelie, associative, twist."""
-    p, s, m, r = "prec", "succ", "mul", "rhd"
-    table = {
-        "associative": Presentation(
-            [m], "planar",
-            [[(m, (m, 1, 2), 3), (m, 1, (m, 2, 3))]]),
-        "duplicial": Presentation(
-            [p, s], "planar",
-            [[(p, (p, 1, 2), 3), (p, 1, (p, 2, 3))],
-             [(p, (s, 1, 2), 3), (s, 1, (p, 2, 3))],
-             [(s, 1, (s, 2, 3)), (s, (s, 1, 2), 3)]]),
-        "dendriform": Presentation(
-            [p, s], "planar",
-            [[(p, (p, 1, 2), 3), (p, 1, (p, 2, 3)), (p, 1, (s, 2, 3))],
-             [(p, (s, 1, 2), 3), (s, 1, (p, 2, 3))],
-             [(s, 1, (s, 2, 3)), (s, (s, 1, 2), 3), (s, (p, 1, 2), 3)]]),
-        "prelie": Presentation(
-            [r], "labeled",
-            [[(r, 1, (r, 2, 3)), (r, (r, 1, 2), 3),
-              (r, 2, (r, 1, 3)), (r, (r, 2, 1), 3)]]),
-        "twist": Presentation(
-            [m], "labeled",
-            [[(m, 1, (m, 2, 3)), (m, (m, 2, 1), 3)]]),
-    }
-    if name not in table:
-        raise ValueError(f"unknown preset {name!r}; have {sorted(table)}")
-    return table[name]
+    """The presentation of ``omega.RELATIONS[name]``: one class per
+    relation, its monomials with the variables x, y, z as leaves 1, 2, 3."""
+    if name not in RELATIONS:
+        raise ValueError(f"unknown preset {name!r}; have {sorted(RELATIONS)}")
+    entry = RELATIONS[name]
+    leaves = {0: 1, 1: 2, 2: 3}
+    return Presentation(list(entry.generators), entry.mode,
+                        [[_relabel(t, leaves) for t in monomials(relation)]
+                         for relation in entry.relations])
 
 
 # ---------------------------------------------------------------------------
@@ -260,13 +242,6 @@ def quotient_classes(p: Presentation, arity: int) -> list[list[Term]]:
     return partition_terms(enumerate_terms(p, arity), p.relations)
 
 
-def class_of(t: Term, classes) -> int:
-    for i, cls in enumerate(classes):
-        if t in cls:
-            return i
-    raise ValueError(f"term {serialize_term(t)} not in the given partition")
-
-
 def compose_terms(x: Term, a: int, y: Term) -> Term:
     """Partial composition: plug ``y`` into the leaf of ``x`` labeled ``a``,
     renumbering so the result reads 1..(n+m-1)."""
@@ -373,16 +348,6 @@ def forget(family: ColoredFamily) -> dict:
     return out
 
 
-def colored_transform(kind: str, **data):
-    if kind == "uniformize":
-        return uniformize(data["base"], data["colors"])
-    if kind == "color_change":
-        return color_change(data["family"], data["kappa"], data["colors"])
-    if kind == "forget":
-        return forget(data["family"])
-    raise ValueError(f"unknown transform {kind!r}")
-
-
 # ---------------------------------------------------------------------------
 # Color-mixing membership
 
@@ -460,21 +425,8 @@ def mixing_census(p: Presentation, omega_algebra: dict, arity: int) -> dict:
     return {"classes": len(classes), "consistent": True, "member_counts": counts}
 
 
-_DEFAULT_TABLES = {"prec": "left_arrow", "succ": "right_arrow",
-                   "rhd": "table", "mul": "table"}
-
-
 def omega_algebra_from_structure(p: Presentation, structure) -> dict:
-    """Map the preset generators onto the matching tables of a parameter
-    structure: prec/succ to the arrows, rhd/mul to a magma table."""
-    tables = {}
-    for g in p.generators:
-        if g not in _DEFAULT_TABLES:
-            raise ValueError(f"no default table for generator {g!r}")
-        table = getattr(structure, _DEFAULT_TABLES[g], None)
-        if table is None:
-            raise PreconditionError(
-                f"generator {g!r} needs a {_DEFAULT_TABLES[g]} table, which "
-                f"the {type(structure).__name__} lacks")
-        tables[g] = table
-    return tables
+    """The table of a parameter structure that each generator reads, as
+    ``omega.GENERATOR_OPS`` assigns it: prec/succ the arrows, rhd/mul the
+    magma product."""
+    return tables_by_op(structure, p.generators)

@@ -132,7 +132,13 @@ def test_omega_check_rejects_non_integer_entries(capsys, tmp_path, entry):
     assert "not an integer" in err
 
 
-@pytest.mark.parametrize("data", [{"size": 2}, [1, 2]])
+@pytest.mark.parametrize("data", [
+    {"size": 2}, [1, 2],
+    {"size": 2, "left": 5, "right": [[0, 0], [0, 0]]},
+    {"size": 2, "left": [[0, 0], [0, 0]], "right": [[0, 0], [0, 0]], "ltri": 5,
+     "rtri": [[0, 0], [0, 0]]},
+    {"size": 2, "table": [1, 2]},
+])
 @pytest.mark.parametrize("argv", [
     ["omega", "check", "--kind", "duplicial", "--input"],
     ["family", "check", "--mode", "two_param", "--omega"],

@@ -1,5 +1,6 @@
 """Family products on typed trees: pins, axiom checkers, free morphism."""
 import itertools
+import random
 
 import pytest
 
@@ -157,6 +158,51 @@ def test_factored_checker_agrees_with_direct_scan_one_param():
         direct = _direct_one_param(s)
         factored = check_axioms("one_param", s, max_vertices=2).passed
         assert direct == factored
+
+
+# --- the tree laws from the duplicial relation against literal ones -----------
+
+_P, _S = duplicial._prec2_raw, duplicial._succ2_raw
+
+
+def _literal_tp1(s, t, u, a, b, c, ops):
+    lhs = _P(_P(s, t, a, b, ops), u, ops.la(a, b), c, ops)
+    rhs = _P(s, _P(t, u, b, c, ops), a, ops.la(b, c), ops)
+    return lhs, rhs
+
+
+def _literal_tp2(s, t, u, a, b, c, ops):
+    lhs = _P(_S(s, t, a, b, ops), u, ops.ra(a, b), c, ops)
+    rhs = _S(s, _P(t, u, b, c, ops), a, ops.la(b, c), ops)
+    return lhs, rhs
+
+
+def _literal_tp3(s, t, u, a, b, c, ops):
+    lhs = _S(s, _S(t, u, b, c, ops), a, ops.ra(b, c), ops)
+    rhs = _S(_S(s, t, a, b, ops), u, ops.ra(a, b), c, ops)
+    return lhs, rhs
+
+
+def test_tree_laws_from_the_relation_match_the_literal_ones(monkeypatch):
+    tables = [[list(cells[:2]), list(cells[2:])]
+              for cells in itertools.product(range(2), repeat=4)]
+    pairs = [OmegaStructure(2, l, r) for l in tables for r in tables]
+    failing = [s for s in pairs if not omega.passes(s, "duplicial")]
+    samples = enumerate_structures(2, "duplicial") + random.Random(6).sample(failing, 40)
+    assert len(samples) == 67
+
+    def reports():
+        return ([[ob.law for ob in duplicial._obligations("two_param", n)] for n in (2, 3)]
+                + [check_axioms("two_param", s, max_vertices=n).to_json()
+                   for n in (2, 3) for s in samples])
+
+    derived = reports()
+    monkeypatch.setitem(duplicial._MODE_LAWS, "two_param",
+                        (("TP1", _literal_tp1), ("TP2", _literal_tp2), ("TP3", _literal_tp3)))
+    monkeypatch.setattr(duplicial, "_OBLIGATION_CACHE", {})
+    literal = reports()
+    assert derived == literal
+    assert sum(not r["passed"] for r in literal[2:]) == 80
 
 
 def test_two_param_passes_over_small_duplicial_structures():

@@ -11,7 +11,7 @@ from famop.linear import (FamilyBilinear, check_classic_laws,
                           constant_family, make_graded,
                           prelie_rooted_truncated, random_family, zero_family,
                           zinbiel_truncated)
-from famop.omega import Magma, OmegaStructure, ds_projections
+from famop.omega import Magma, OmegaStructure, ds_projections, from_semigroup
 
 PROJ2 = ds_projections(2)
 PERM2 = Magma(2, [[0, 0], [0, 0]])
@@ -415,3 +415,11 @@ def test_missing_tables_raise_typed_errors():
         make_graded(constant_family(1, 2, {"prec": [[[1]]]}), PROJ2, "dendriform")
     with pytest.raises(PreconditionError, match="'prec', 'succ'"):
         check_family_laws(zero_family(1, 2, ("mul",)), PROJ2, "dendriform2")
+    # A magma is not read as both arrows; from_semigroup makes it so.
+    z, m = zinbiel_truncated(3, 2), Magma(2, [[0, 0], [0, 0]])
+    with pytest.raises(PreconditionError, match="'prec'"):
+        make_graded(z, m, "dendriform")
+    with pytest.raises(PreconditionError, match="OmegaStructure"):
+        check_family_laws(z, m, "dendriform2")
+    assert make_graded(z, from_semigroup(m), "dendriform").grades == \
+        {"prec": m.table, "succ": m.table}

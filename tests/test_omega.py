@@ -16,6 +16,55 @@ ALL_TABLES_2 = [tuple(tuple(cells[i * 2:(i + 1) * 2]) for i in range(2))
                 for cells in itertools.product(range(2), repeat=4)]
 
 
+# --- the parameter laws as literal tuples ------------------------------------
+# ``omega.KIND_LAWS`` is derived from the presented relations; law ids, the
+# orientation of each law and the order of laws and kinds all reach
+# ``omega check`` output, so the derivation must give exactly these.
+
+_DUP = (
+    ("U1", ("la", ("la", 0, 1), 2), ("la", 0, ("la", 1, 2))),
+    ("U2", ("la", ("ra", 0, 1), 2), ("ra", 0, ("la", 1, 2))),
+    ("U3", ("ra", ("ra", 0, 1), 2), ("ra", 0, ("ra", 1, 2))),
+)
+KIND_LAWS = {
+    "diassociative": (
+        ("D1", ("la", ("la", 0, 1), 2), ("la", 0, ("la", 1, 2))),
+        ("D2", ("la", 0, ("la", 1, 2)), ("la", 0, ("ra", 1, 2))),
+        ("D3", ("la", ("ra", 0, 1), 2), ("ra", 0, ("la", 1, 2))),
+        ("D4", ("ra", ("ra", 0, 1), 2), ("ra", ("la", 0, 1), 2)),
+        ("D5", ("ra", ("la", 0, 1), 2), ("ra", 0, ("ra", 1, 2))),
+    ),
+    "duplicial": _DUP,
+    "edus": _DUP + (
+        ("E0", ("rt", 0, ("la", 1, 2)), ("rt", 0, 1)),
+        ("E00", ("lt", ("ra", 0, 1), 2), ("lt", 1, 2)),
+        ("E1", ("la", ("lt", 0, 1), ("lt", ("la", 0, 1), 2)), ("lt", 0, ("la", 1, 2))),
+        ("E2", ("lt", ("lt", 0, 1), ("lt", ("la", 0, 1), 2)), ("lt", 1, 2)),
+        ("E3", ("rt", ("rt", 0, ("ra", 1, 2)), ("rt", 1, 2)), ("rt", 0, 1)),
+        ("E4", ("ra", ("rt", 0, ("ra", 1, 2)), ("rt", 1, 2)), ("rt", ("ra", 0, 1), 2)),
+    ),
+    "associative": (
+        ("A1", ("mul", ("mul", 0, 1), 2), ("mul", 0, ("mul", 1, 2))),
+    ),
+    "twist_associative": (
+        ("T1", ("mul", 0, ("mul", 1, 2)), ("mul", ("mul", 1, 0), 2)),
+    ),
+    "napnapprime": (
+        ("N1", ("mul", 0, ("mul", 1, 2)), ("mul", 1, ("mul", 0, 2))),
+        ("N2", ("mul", ("mul", 0, 1), 2), ("mul", ("mul", 1, 0), 2)),
+    ),
+    "perm": (
+        ("P1", ("mul", ("mul", 0, 1), 2), ("mul", 0, ("mul", 1, 2))),
+        ("P2", ("mul", 0, ("mul", 1, 2)), ("mul", 1, ("mul", 0, 2))),
+        ("P3", ("mul", ("mul", 0, 1), 2), ("mul", ("mul", 1, 0), 2)),
+    ),
+}
+
+
+def test_derived_kind_laws_are_the_literal_ones():
+    assert list(omega.KIND_LAWS.items()) == list(KIND_LAWS.items())
+
+
 # --- independent oracles: the laws restated as plain lambdas -----------------
 
 def _dia_ok(la, ra):
@@ -87,6 +136,8 @@ def test_kind_argument_type_is_enforced():
         check_laws(Magma(2, [[0, 0], [0, 0]]), "duplicial")
     with pytest.raises(PreconditionError):
         check_laws(ds_projections(2), "associative")
+    with pytest.raises(PreconditionError):
+        check_laws({"size": 2}, "duplicial")
 
 
 def test_enumeration_matches_brute_force_oracle():
@@ -238,7 +289,7 @@ def test_size3_arrow_kinds_match_the_literal_pair_scan():
 
 
 def test_row_local_marks_exactly_the_one_row_laws():
-    marked = [law[0] for law in omega._DIA_LAWS + omega._DUP_LAWS
+    marked = [law[0] for law in KIND_LAWS["diassociative"] + KIND_LAWS["duplicial"]
               if omega._row_local(law[1], "ra", 0) and omega._row_local(law[2], "ra", 0)]
     assert marked == ["D3", "U2"]
 
@@ -419,9 +470,12 @@ _ZERO = [[0, 0], [0, 0]]
     (Magma, [1, 2]), (Magma, "table"), (Magma, 2),
     (Magma, {"size": 2}), (Magma, {"table": _ZERO}),
     (Magma, {"size": 2.0, "table": _ZERO}), (Magma, {"size": True, "table": [[0]]}),
+    (OmegaStructure, {"size": 2, "left": 5, "right": _ZERO}),
+    (OmegaStructure, {"size": 2, "left": _ZERO, "right": _ZERO, "ltri": 5, "rtri": _ZERO}),
+    (Magma, {"size": 2, "table": [1, 2]}),
 ])
 def test_malformed_structure_json_raises_precondition_error(cls, data):
-    with pytest.raises(PreconditionError):
+    with pytest.raises((PreconditionError, ValueError)):
         cls.from_json(data)
 
 

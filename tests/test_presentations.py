@@ -4,6 +4,7 @@ import random
 
 import pytest
 
+from famop import omega
 from famop import presentations as pr
 from famop.errors import (MixingConsistencyError, ParseError,
                           PreconditionError, ResourceBoundError)
@@ -13,7 +14,7 @@ from famop.presentations import (ColoredTerm, Presentation, colored_compose,
                                  forget, mixing_census, mixing_filter,
                                  parse_term, partition_terms, preset,
                                  quotient_classes, serialize_term, term_arity,
-                                 uniformize)
+                                 term_leaves, uniformize)
 
 
 def test_enumerate_counts():
@@ -41,6 +42,15 @@ def test_enumerate_bounds():
 def test_quotient_class_counts(name, expected):
     p = preset(name)
     assert [len(quotient_classes(p, n)) for n in (2, 3, 4)] == expected
+
+
+def test_napnap_classes_split_each_shape_by_its_last_leaf():
+    # Each relation swaps the first two leaves of one arity-3 shape.
+    classes = quotient_classes(preset("napnap"), 3)
+    assert [len(c) for c in classes] == [2] * 6
+    for a, b in classes:
+        assert isinstance(a[1], int) == isinstance(b[1], int)  # one shape
+        assert term_leaves(a)[-1] == term_leaves(b)[-1]
 
 
 def test_arity_two_classes_are_the_generators():
@@ -213,12 +223,46 @@ def test_mixing_membership_is_class_invariant_when_consistent():
 
 
 def test_presentation_json_roundtrip():
-    p = preset("dendriform")
-    back = Presentation.from_json(p.to_json())
-    assert back.generators == p.generators
-    assert back.mode == p.mode
-    assert back.relations == p.relations
+    for name in omega.RELATIONS:
+        p = preset(name)
+        back = Presentation.from_json(p.to_json())
+        assert back.generators == p.generators
+        assert back.mode == p.mode
+        assert back.relations == p.relations
+        assert [quotient_classes(back, n) for n in (2, 3)] == \
+            [quotient_classes(p, n) for n in (2, 3)]
+    back = Presentation.from_json(preset("dendriform").to_json())
     assert [len(quotient_classes(back, n)) for n in (2, 3)] == [2, 3]
+
+
+_TABLES_2 = [tuple(tuple(cells[i * 2:(i + 1) * 2]) for i in range(2))
+             for cells in itertools.product(range(2), repeat=4)]
+
+
+@pytest.mark.parametrize("name,passing", [
+    ("dendriform", 13), ("duplicial", 27), ("associative", 8),
+    ("twist", 7), ("napnap", 8), ("prelie", 7),
+])
+def test_the_presentation_defines_the_parameter_structure(name, passing):
+    """A size-2 structure is an algebra for the presentation, every class
+    evaluating alike at arity 3, exactly when it satisfies the laws of the
+    kind the presentation defines."""
+    p = preset(name)
+    kind = omega.RELATIONS[name].kind
+    if "prec" in p.generators:
+        structures = [OmegaStructure(2, l, r) for l in _TABLES_2 for r in _TABLES_2]
+    else:
+        structures = [Magma(2, t) for t in _TABLES_2]
+    found = 0
+    for s in structures:
+        tables = pr.omega_algebra_from_structure(p, s)
+        try:
+            consistent = mixing_census(p, tables, 3)["consistent"]
+        except MixingConsistencyError:
+            consistent = False
+        assert consistent == omega.passes(s, kind)
+        found += consistent
+    assert found == passing
 
 
 def test_non_homogeneous_relations_warn():
