@@ -251,7 +251,7 @@ def main(argv=None) -> int:
         print(f"resource bound: {exc}", file=sys.stderr)
         return 3
     except (PreconditionError, ParseError, FamopError, OSError,
-            json.JSONDecodeError, ValueError) as exc:
+            json.JSONDecodeError, ValueError, RecursionError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
 

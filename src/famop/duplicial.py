@@ -18,22 +18,21 @@ from __future__ import annotations
 
 import itertools
 from dataclasses import dataclass
+from functools import lru_cache, partial
+from types import SimpleNamespace
 
 from . import trees
 from .errors import PreconditionError
 from .omega import (GENERATOR_OPS, RELATIONS, OmegaStructure, first_violation,
-                    passes, tables_by_op)
+                    monomials, passes, subterms, tables_by_op)
 from .report import LawReport
 from .trees import Node, serialize
 
 
 # ---------------------------------------------------------------------------
-# Type expressions (used by the symbolic runs of the product code)
-
-
-@dataclass(frozen=True)
-class Var:
-    name: str
+# Type expressions (used by the symbolic runs of the product code).  A
+# variable is its name; an application is not a tuple, which would read as a
+# pair type.
 
 
 @dataclass(frozen=True)
@@ -43,34 +42,15 @@ class App:
     b: object
 
 
-class SymbolicOps:
-    """Operation provider that builds expressions instead of table lookups."""
-
-    @staticmethod
-    def la(a, b):
-        return App("la", a, b)
-
-    @staticmethod
-    def ra(a, b):
-        return App("ra", a, b)
-
-    @staticmethod
-    def lt(a, b):
-        return App("lt", a, b)
-
-    @staticmethod
-    def rt(a, b):
-        return App("rt", a, b)
-
-
-_SYM = SymbolicOps()
+# Operation provider that builds expressions instead of table lookups.
+_SYM = SimpleNamespace(**{op: partial(App, op) for op in ("la", "ra", "lt", "rt")})
 
 
 def _rename(e, mapping: dict):
     """The expression as an omega term; ``mapping`` numbers the variable
     names in order of first appearance."""
-    if isinstance(e, Var):
-        return mapping.setdefault(e.name, len(mapping))
+    if isinstance(e, str):
+        return mapping.setdefault(e, len(mapping))
     return (e.op, _rename(e.a, mapping), _rename(e.b, mapping))
 
 
@@ -79,6 +59,8 @@ def _rename(e, mapping: dict):
 
 
 def _retype(t, fn):
+    """``t`` with every edge type ``e`` replaced by ``fn(e)``, visiting the
+    edges in the order lt, left subtree, rt, right subtree."""
     if t is None:
         return None
     return Node(t.dec,
@@ -250,29 +232,11 @@ _MODE_PARAMS = {"two_param": 3, "one_param": 2}
 # Symbolic obligations
 
 
-@dataclass
+@dataclass(frozen=True)
 class _Obligation:
     law: tuple  # (law id, lhs, rhs) as omega terms
     var_names: tuple  # the symbolic name of each term variable
     origin: tuple  # (s_sym, t_sym, u_sym, param names)
-
-
-def _fresh_types(t, prefix: str, counter: list, pair: bool):
-    if t is None:
-        return None
-
-    def fresh():
-        k = counter[0]
-        counter[0] += 1
-        if pair:
-            return (Var(f"{prefix}{k}f"), Var(f"{prefix}{k}s"))
-        return Var(f"{prefix}{k}")
-
-    lt = None if t.lt is None else fresh()
-    left = _fresh_types(t.left, prefix, counter, pair)
-    rt = None if t.rt is None else fresh()
-    right = _fresh_types(t.right, prefix, counter, pair)
-    return Node(t.dec, lt, left, rt, right)
 
 
 def _collect_type_pairs(l, r, out: list):
@@ -296,30 +260,32 @@ def _collect_type_pairs(l, r, out: list):
     _collect_type_pairs(l.right, r.right, out)
 
 
-_OBLIGATION_CACHE: dict = {}
-
-
-def _obligations(mode: str, max_vertices: int) -> list[_Obligation]:
+@lru_cache(maxsize=16)
+def _obligations(mode: str, max_vertices: int) -> tuple[_Obligation, ...]:
     """The distinct per-edge type equations of the mode's laws over all
     tree triples up to the vertex bound.  Decorations never enter a type
     equation, so the shapes carry a single one."""
-    key = (mode, max_vertices)
-    if key in _OBLIGATION_CACHE:
-        return _OBLIGATION_CACHE[key]
     pair = mode == "two_param"
-    flavor = "pair" if pair else "single"
     shapes = []
     for n in range(1, max_vertices + 1):
-        shapes.extend(trees.enumerate_trees(n, 1, 1, flavor))
-    params = [Var("pa"), Var("pb"), Var("pc")]
+        shapes.extend(trees.enumerate_trees(n, 1, 1, "pair" if pair else "single"))
+
+    def fresh(t, prefix: str):
+        """``t`` with its k-th edge typed by the variable ``{prefix}{k}``,
+        or by the pair of ``{prefix}{k}f`` and ``{prefix}{k}s``."""
+        names = ((f"{prefix}{k}f", f"{prefix}{k}s") if pair else f"{prefix}{k}"
+                 for k in itertools.count())
+        return _retype(t, lambda _: next(names))
+
+    params = ("pa", "pb", "pc")
     seen = set()
     out = []
     for s0 in shapes:
-        s = _fresh_types(s0, "s", [0], pair)
+        s = fresh(s0, "s")
         for t0 in shapes:
-            t = _fresh_types(t0, "t", [0], pair)
+            t = fresh(t0, "t")
             for u0 in shapes:
-                u = _fresh_types(u0, "u", [0], pair)
+                u = fresh(u0, "u")
                 for law_id, law in _MODE_LAWS[mode]:
                     lhs, rhs = law(s, t, u, *params, _SYM)
                     pairs: list = []
@@ -333,33 +299,17 @@ def _obligations(mode: str, max_vertices: int) -> list[_Obligation]:
                             continue
                         seen.add(terms)
                         out.append(_Obligation((law_id,) + terms, tuple(mapping),
-                                               (s, t, u, ("pa", "pb", "pc"))))
-    _OBLIGATION_CACHE[key] = out
-    return out
-
-
-def _instantiate(t, env: dict):
-    if t is None:
-        return None
-
-    def val(e):
-        if isinstance(e, Var):
-            return env.get(e.name, 0)
-        if isinstance(e, tuple):
-            return (val(e[0]), val(e[1]))
-        return e
-
-    lt = None if t.lt is None else val(t.lt)
-    rt = None if t.rt is None else val(t.rt)
-    return Node(t.dec, lt, _instantiate(t.left, env), rt, _instantiate(t.right, env))
+                                               (s, t, u, params)))
+    return tuple(out)
 
 
 def _concrete_witness(mode: str, ob: _Obligation, env: dict, o: OmegaStructure):
-    s_sym, t_sym, u_sym, pnames = ob.origin
-    s = _instantiate(s_sym, env)
-    t = _instantiate(t_sym, env)
-    u = _instantiate(u_sym, env)
-    ps = tuple(env.get(p, 0) for p in pnames)
+    def value(e):
+        return tuple(map(value, e)) if isinstance(e, tuple) else env.get(e, 0)
+
+    *symbolic, pnames = ob.origin
+    s, t, u = (_retype(x, value) for x in symbolic)
+    ps = tuple(map(value, pnames))
     law = dict(_MODE_LAWS[mode])[ob.law[0]]
     lhs, rhs = law(s, t, u, *ps, o)
     if lhs == rhs:
@@ -409,6 +359,26 @@ def graded_succ(x: GradedElement, y: GradedElement, e: OmegaStructure) -> Graded
                          e.ra(x.color, y.color))
 
 
+_GRADED_PRODUCTS = {"prec": graded_prec, "succ": graded_succ}
+
+
+def _slot_program(laws) -> tuple:
+    """Laws ``(id, lhs, rhs)`` over x, y, z as a program over slots: x, y, z
+    in slots 0-2 and the k-th distinct subterm, operands first, in slot
+    3 + k.  Returns the steps ``(product, left slot, right slot)`` and the
+    laws ``(id, lhs slot, rhs slot)``."""
+    terms = subterms(term for _, *sides in laws for term in sides)
+    slot = {term: k for k, term in enumerate((0, 1, 2, *terms))}
+    return (tuple((_GRADED_PRODUCTS[gen], slot[l], slot[r]) for gen, l, r in terms),
+            tuple((law_id, slot[lhs], slot[rhs]) for law_id, lhs, rhs in laws))
+
+
+# G1-G3: the duplicial relations, each side one monomial in x, y, z.
+_GRADED_STEPS, _GRADED_LAWS = _slot_program(tuple(
+    (f"G{n}", *monomials(relation))
+    for n, relation in enumerate(RELATIONS["duplicial"].relations, 1)))
+
+
 def _check_graded(o: OmegaStructure, x_size: int, max_vertices: int,
                   first_witness_only: bool) -> LawReport:
     report = LawReport(kind="graded")
@@ -418,25 +388,18 @@ def _check_graded(o: OmegaStructure, x_size: int, max_vertices: int,
             for c in range(o.size):
                 elements.append(GradedElement(t, c))
     cache: dict = {}
-
-    def prod(op, x, y):
-        key = (op, x, y)
-        got = cache.get(key)
-        if got is None:
-            got = graded_prec(x, y, o) if op == 0 else graded_succ(x, y, o)
-            cache[key] = got
-        return got
-
     n_checked = 0
     for x, y, z in itertools.product(elements, repeat=3):
-        checks = (
-            ("G1", prod(0, prod(0, x, y), z), prod(0, x, prod(0, y, z))),
-            ("G2", prod(0, prod(1, x, y), z), prod(1, x, prod(0, y, z))),
-            ("G3", prod(1, x, prod(1, y, z)), prod(1, prod(1, x, y), z)),
-        )
-        n_checked += 3
-        for law_id, lhs, rhs in checks:
-            if lhs != rhs:
+        values = [x, y, z]
+        for product, l, r in _GRADED_STEPS:
+            key = (product, values[l], values[r])
+            got = cache.get(key)
+            if got is None:
+                got = cache[key] = product(values[l], values[r], o)
+            values.append(got)
+        n_checked += len(_GRADED_LAWS)
+        for law_id, l, r in _GRADED_LAWS:
+            if values[l] != values[r]:
                 report.add(law_id, (serialize(x.tree), x.color,
                                     serialize(y.tree), y.color,
                                     serialize(z.tree), z.color))

@@ -25,7 +25,7 @@ from operator import add, neg, sub
 
 from . import omega as omega_mod
 from .errors import PreconditionError
-from .omega import RELATIONS
+from .omega import RELATIONS, monomials, subterms
 from .report import LawReport
 
 Vec = tuple  # coefficient tuple over the basis
@@ -175,18 +175,7 @@ _GRADED_KINDS = ("dendriform", "duplicial", "prelie")
 
 def _subterms(laws) -> list:
     """Every product subterm of the laws once, operands first."""
-    seen: dict = {}
-
-    def visit(term):
-        if isinstance(term, tuple) and term not in seen:
-            visit(term[1])
-            visit(term[2])
-            seen[term] = None
-
-    for _, lhs, rhs in laws:
-        for term, _ in lhs + rhs:
-            visit(term)
-    return list(seen)
+    return subterms(term for _, *relation in laws for term in monomials(relation))
 
 
 def _ops(kind: str, laws, available, owner: str) -> tuple:

@@ -50,15 +50,15 @@ def _freeze_table(rows, size: int) -> Table:
     return tuple(table)
 
 
-def _json_fields(data, *keys) -> list:
-    """The named fields of a structure's JSON object, ``size`` an integer."""
+def _json_fields(data, what: str, *keys) -> list:
+    """The named fields of the JSON object of a ``what``, ``size`` an integer."""
     if not isinstance(data, dict):
         raise PreconditionError(
-            f"a structure must be a JSON object, not {type(data).__name__}")
+            f"a {what} must be a JSON object, not {type(data).__name__}")
     missing = [key for key in keys if key not in data]
     if missing:
-        raise PreconditionError(f"structure JSON lacks {', '.join(missing)}")
-    if type(data["size"]) is not int:
+        raise PreconditionError(f"{what} JSON lacks {', '.join(missing)}")
+    if "size" in keys and type(data["size"]) is not int:
         raise PreconditionError(f"structure size {data['size']!r} is not an integer")
     return [data[key] for key in keys]
 
@@ -118,7 +118,7 @@ class OmegaStructure:
 
     @classmethod
     def from_json(cls, data: dict) -> "OmegaStructure":
-        return cls(*_json_fields(data, "size", "left", "right"),
+        return cls(*_json_fields(data, "structure", "size", "left", "right"),
                    data.get("ltri"), data.get("rtri"))
 
 
@@ -145,7 +145,7 @@ class Magma:
 
     @classmethod
     def from_json(cls, data: dict) -> "Magma":
-        return cls(*_json_fields(data, "size", "table"))
+        return cls(*_json_fields(data, "structure", "size", "table"))
 
 
 def ds_projections(size: int) -> OmegaStructure:
@@ -236,6 +236,21 @@ def monomials(relation) -> list:
     """The terms of a signed relation, lhs first, signs dropped."""
     lhs, rhs = relation
     return [term for term, _ in lhs + rhs]
+
+
+def subterms(terms) -> list:
+    """Every product subterm of ``terms`` once, operands first."""
+    seen: dict = {}
+
+    def visit(term):
+        if isinstance(term, tuple) and term not in seen:
+            visit(term[1])
+            visit(term[2])
+            seen[term] = None
+
+    for term in terms:
+        visit(term)
+    return list(seen)
 
 
 def _in_tables(term):

@@ -16,9 +16,10 @@ import itertools
 import warnings
 from dataclasses import dataclass, field
 
-from .errors import MixingConsistencyError, ParseError, ResourceBoundError
-from .omega import (RELATIONS, _freeze_table, eval_term, first_violation,
-                    monomials, tables_by_op)
+from .errors import (MixingConsistencyError, ParseError, PreconditionError,
+                     ResourceBoundError)
+from .omega import (RELATIONS, _freeze_table, _json_fields, eval_term,
+                    first_violation, monomials, tables_by_op)
 from .trees import tokenize
 
 Term = object  # int leaf label | (gen, Term, Term)
@@ -104,8 +105,15 @@ class Presentation:
 
     @classmethod
     def from_json(cls, data: dict) -> "Presentation":
-        return cls(list(data["generators"]), data["mode"],
-                   [[parse_term(t) for t in cls_] for cls_ in data["relations"]])
+        generators, mode, relations = _json_fields(
+            data, "presentation", "generators", "mode", "relations")
+        if not (isinstance(relations, list) and
+                all(isinstance(v, list) for v in (generators, *relations)) and
+                all(isinstance(t, str) for cls_ in relations for t in cls_)):
+            raise PreconditionError("presentation generators and relation "
+                                    "classes must be lists, terms strings")
+        return cls(list(generators), mode,
+                   [[parse_term(t) for t in cls_] for cls_ in relations])
 
 
 def preset(name: str) -> Presentation:
@@ -245,30 +253,12 @@ def quotient_classes(p: Presentation, arity: int) -> list[list[Term]]:
 def compose_terms(x: Term, a: int, y: Term) -> Term:
     """Partial composition: plug ``y`` into the leaf of ``x`` labeled ``a``,
     renumbering so the result reads 1..(n+m-1)."""
-    n = term_arity(x)
-    m = term_arity(y)
     if a not in term_leaves(x):
         raise ValueError(f"no leaf labeled {a}")
-
-    def shift_x(t: Term):
-        if isinstance(t, int):
-            if t == a:
-                return None  # marker for the hole
-            return t if t < a else t + m - 1
-        left = shift_x(t[1])
-        right = shift_x(t[2])
-        return (t[0], left, right)
-
-    def fill(t, spliced):
-        if t is None:
-            return spliced
-        if isinstance(t, int):
-            return t
-        return (t[0], fill(t[1], spliced), fill(t[2], spliced))
-
-    y_shifted = _relabel(y, {lbl: lbl + a - 1 for lbl in term_leaves(y)})
-    del n
-    return fill(shift_x(x), y_shifted)
+    m = term_arity(y)
+    y_shifted = _relabel(y, {leaf: leaf + a - 1 for leaf in term_leaves(y)})
+    return _relabel(x, {leaf: leaf if leaf < a else y_shifted if leaf == a else leaf + m - 1
+                        for leaf in term_leaves(x)})
 
 
 # ---------------------------------------------------------------------------
@@ -365,6 +355,8 @@ def _carrier_size(p: Presentation, omega_algebra: dict) -> int:
     for g in p.generators:
         if g not in omega_algebra:
             raise ValueError(f"no table for generator {g!r}")
+    if not all(isinstance(tab, (list, tuple)) for tab in omega_algebra.values()):
+        raise ValueError("each generator table must be a list of rows")
     sizes = {len(tab) for tab in omega_algebra.values()}
     if len(sizes) != 1:
         raise ValueError("all generator tables must share one carrier size")

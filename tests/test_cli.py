@@ -155,6 +155,19 @@ def test_malformed_structure_file_is_a_usage_error(capsys, tmp_path, data, argv)
     assert len(err.strip().splitlines()) == 1
 
 
+def test_deeply_nested_input_is_a_usage_error(capsys, proj2_file, tmp_path):
+    deep_tree = "(x . 0 _ " * 1200 + "(y . . _ _)" + ")" * 1200
+    deep_json = tmp_path / "deep.json"
+    deep_json.write_text("[" * 100000 + "]" * 100000)
+    for argv in (["trees", "product", "--mode", "prec2", "--omega", proj2_file,
+                  "--param", "0,1", deep_tree, "(y . . _ _)"],
+                 ["omega", "check", "--kind", "duplicial", "--input", str(deep_json)]):
+        code, out, err = run(capsys, argv)
+        assert code == 2
+        assert out == ""
+        assert len(err.strip().splitlines()) == 1
+
+
 def test_omega_check_magma(capsys, magma_file):
     code, out, _ = run(capsys, ["omega", "check", "--kind", "perm",
                                 "--input", magma_file])

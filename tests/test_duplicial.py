@@ -11,6 +11,7 @@ from famop.duplicial import (FreeAlgebraTarget, GradedElement, check_axioms,
                              succ2, tree_generator)
 from famop.errors import PreconditionError
 from famop.omega import OmegaStructure, ds_projections, enumerate_structures
+from famop.report import LawReport
 from famop.trees import parse, serialize
 
 PROJ2 = ds_projections(2)
@@ -197,12 +198,22 @@ def test_tree_laws_from_the_relation_match_the_literal_ones(monkeypatch):
                    for n in (2, 3) for s in samples])
 
     derived = reports()
+    duplicial._obligations.cache_clear()
     monkeypatch.setitem(duplicial._MODE_LAWS, "two_param",
                         (("TP1", _literal_tp1), ("TP2", _literal_tp2), ("TP3", _literal_tp3)))
-    monkeypatch.setattr(duplicial, "_OBLIGATION_CACHE", {})
-    literal = reports()
+    try:
+        literal = reports()
+    finally:
+        duplicial._obligations.cache_clear()
     assert derived == literal
     assert sum(not r["passed"] for r in literal[2:]) == 80
+
+
+def test_retype_visits_lt_left_rt_right():
+    t = parse("(r 0 0 (a . 0 _ (b . . _ _)) (c . . _ _))")
+    counter = itertools.count()
+    numbered = duplicial._retype(t, lambda _: next(counter))
+    assert serialize(numbered) == "(r 0 2 (a . 1 _ (b . . _ _)) (c . . _ _))"
 
 
 def test_two_param_passes_over_small_duplicial_structures():
@@ -258,6 +269,64 @@ def test_graded_iff_on_sample_candidates():
     report = check_axioms("graded", NON_EDUS, max_vertices=2,
                           first_witness_only=True)
     assert not report.passed
+
+
+def _literal_graded(o, x_size, max_vertices, first_witness_only):
+    """The graded scan with G1-G3 written out by hand."""
+    report = LawReport(kind="graded")
+    elements = [GradedElement(t, c) for n in range(1, max_vertices + 1)
+                for t in trees.enumerate_trees(n, x_size, o.size, "single")
+                for c in range(o.size)]
+    cache = {}
+
+    def prod(op, x, y):
+        key = (op, x, y)
+        if key not in cache:
+            cache[key] = graded_prec(x, y, o) if op == 0 else graded_succ(x, y, o)
+        return cache[key]
+
+    n_checked = 0
+    for x, y, z in itertools.product(elements, repeat=3):
+        checks = (
+            ("G1", prod(0, prod(0, x, y), z), prod(0, x, prod(0, y, z))),
+            ("G2", prod(0, prod(1, x, y), z), prod(1, x, prod(0, y, z))),
+            ("G3", prod(1, x, prod(1, y, z)), prod(1, prod(1, x, y), z)),
+        )
+        n_checked += 3
+        for law_id, lhs, rhs in checks:
+            if lhs != rhs:
+                report.add(law_id, (serialize(x.tree), x.color, serialize(y.tree),
+                                    y.color, serialize(z.tree), z.color))
+                if first_witness_only:
+                    report.details["instances"] = n_checked
+                    return report
+    report.details["instances"] = n_checked
+    report.details["max_vertices"] = max_vertices
+    return report
+
+
+def test_graded_laws_from_the_relation_match_the_literal_scan():
+    cells = [[list(c[:2]), list(c[2:])] for c in itertools.product(range(2), repeat=4)]
+    rng = random.Random(9)
+    non_edus = []
+    while len(non_edus) < 40:
+        s = OmegaStructure(2, *(rng.choice(cells) for _ in range(4)))
+        if not omega.passes(s, "edus"):
+            non_edus.append(s)
+    edus = EDUS2[5::10]
+    # A full scan of one structure at max_vertices=2 takes about 50 ms with
+    # x_size=1 and 3 s with x_size=2, so those bounds run on fewer samples.
+    runs = [(1, x, first, edus + non_edus) for x in (1, 2) for first in (False, True)]
+    runs += [(2, 1, True, edus[::4] + non_edus), (2, 1, False, edus[:2] + non_edus[:2]),
+             (2, 2, True, non_edus)]
+    failed = 0
+    for max_vertices, x_size, first, samples in runs:
+        for s in samples:
+            got = check_axioms("graded", s, x_size=x_size, max_vertices=max_vertices,
+                               first_witness_only=first).to_json()
+            assert got == _literal_graded(s, x_size, max_vertices, first).to_json()
+            failed += not got["passed"]
+    assert failed == 4 * 40 + 40 + 2 + 40
 
 
 def test_graded_products_color_rule():

@@ -110,6 +110,7 @@ def test_graded_with_one_color_is_the_family_itself():
     assert g.ops["succ"] == z.ops["succ"][(0, 0)]
 
 
+@pytest.mark.slow
 def test_dendriform_equivalence_over_all_two_element_arrow_pairs():
     z = zinbiel_truncated(3, 2)
     for la in ALL_TABLES_2:
@@ -120,6 +121,7 @@ def test_dendriform_equivalence_over_all_two_element_arrow_pairs():
             assert graded_ok == omega.passes(structure, "diassociative")
 
 
+@pytest.mark.slow
 def test_prelie_equivalence_over_all_two_element_magmas():
     p = prelie_rooted_truncated(4, 2)
     for table in ALL_TABLES_2:

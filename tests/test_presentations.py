@@ -90,6 +90,39 @@ def test_compose_terms_renumbers():
     assert compose_terms(mid, 2, y) == ("f", ("f", 1, ("g", 2, 3)), 4)
 
 
+def _literal_compose(x, a, y):
+    """Partial composition by cutting a hole at leaf ``a`` and filling it."""
+    m = term_arity(y)
+
+    def shift_x(t):
+        if isinstance(t, int):
+            if t == a:
+                return None  # marker for the hole
+            return t if t < a else t + m - 1
+        return (t[0], shift_x(t[1]), shift_x(t[2]))
+
+    def fill(t, spliced):
+        if t is None:
+            return spliced
+        if isinstance(t, int):
+            return t
+        return (t[0], fill(t[1], spliced), fill(t[2], spliced))
+
+    return fill(shift_x(x), pr._relabel(y, {lbl: lbl + a - 1 for lbl in term_leaves(y)}))
+
+
+def test_compose_terms_matches_the_literal_route():
+    terms = [t for mode in ("planar", "labeled") for n in (1, 2, 3)
+             for t in enumerate_terms(Presentation(["f", "g"], mode), n)]
+    assert len(terms) == 64
+    for x in terms:
+        for a in term_leaves(x):
+            for y in terms:
+                assert compose_terms(x, a, y) == _literal_compose(x, a, y)
+    with pytest.raises(ValueError):
+        compose_terms(("f", 1, 2), 3, ("g", 1, 2))
+
+
 def test_colored_compose_matching_and_mismatch():
     x = ColoredTerm(("f", 1, 2), (0, 1), 0)
     y = ColoredTerm(("g", 1, 2), (1, 1), 1)
@@ -187,6 +220,7 @@ def test_mixing_inconsistency_names_a_class():
     {"prec": ((0, 0), (1, 1)), "succ": ((0, 1.0), (0, 1))},  # float entry
     {"prec": ((0, 0), (1, "1")), "succ": ((0, 0), (0, 1))},  # string entry
     {"prec": ((0, 0), (1, True)), "succ": ((0, 0), (0, 1))}, # bool entry
+    {"prec": 5, "succ": [[0, 0], [0, 0]]},                   # not a table
 ])
 def test_mixing_rejects_malformed_tables(mix, tables):
     with pytest.raises(ValueError):
@@ -263,6 +297,21 @@ def test_the_presentation_defines_the_parameter_structure(name, passing):
         assert consistent == omega.passes(s, kind)
         found += consistent
     assert found == passing
+
+
+@pytest.mark.parametrize("data", [
+    [1], None, "relations",
+    {"generators": ["f"], "mode": "planar"},
+    {"mode": "planar", "relations": []},
+    {"generators": ["f"], "relations": []},
+    {"generators": ["f"], "mode": "planar", "relations": 5},
+    {"generators": ["f"], "mode": "planar", "relations": ["(f 1 2)"]},
+    {"generators": ["f"], "mode": "planar", "relations": [[("f", 1, 2)]]},
+    {"generators": 5, "mode": "planar", "relations": []},
+])
+def test_malformed_presentation_json_raises_precondition_error(data):
+    with pytest.raises(PreconditionError):
+        Presentation.from_json(data)
 
 
 def test_non_homogeneous_relations_warn():
