@@ -8,11 +8,11 @@ products act on single-typed trees by the right/left-spine recursion
 driven by the four tables of an extended duplicial semigroup.
 
 The checkers quantify over every tree triple up to a vertex bound and
-every parameter tuple.  They run the product code once per decorated
-shape with opaque symbolic edge types, then verify the resulting
-per-edge type equations over all table assignments, so coverage is the
-full concrete quantification at a fraction of the cost.  Every reported
-witness is re-verified on concrete trees.
+every parameter tuple.  They run the product code once per shape with
+opaque symbolic edge types (a graded tree hangs below an edge typed by its
+color), then verify the resulting per-edge type equations over all table
+assignments: the full concrete quantification at a fraction of the cost.
+Witnesses are re-verified on concrete trees (the graded report's first).
 """
 from __future__ import annotations
 
@@ -24,7 +24,7 @@ from types import SimpleNamespace
 from . import trees
 from .errors import PreconditionError
 from .omega import (GENERATOR_OPS, RELATIONS, OmegaStructure, first_violation,
-                    monomials, passes, subterms, tables_by_op)
+                    passes, tables_by_op)
 from .report import LawReport
 from .trees import Node, serialize
 
@@ -172,15 +172,19 @@ def succ1(t: Node, u: Node, omega: int, e: OmegaStructure) -> Node:
 # Law tables for the checkers
 
 
-_PRODUCTS2 = {"prec": _prec2_raw, "succ": _succ2_raw}
+_PRODUCTS = {"two_param": {"prec": _prec2_raw, "succ": _succ2_raw},
+             "graded": {"prec": lambda s, t, p, q, ops: _prec1_raw(s, ops.lt(p, q), t, ops),
+                        "succ": lambda s, t, p, q, ops: _succ1_raw(s, ops.rt(p, q), t, ops)}}
 
 
-def _tree_law(relation):
-    """The two-parameter law of one duplicial relation on typed trees.
+def _tree_law(relation, mode: str):
+    """The law of one duplicial relation on typed trees, in ``two_param``
+    or ``graded`` mode.
 
     A variable is a tree with its parameter; a node whose operands carry p
-    and q runs the generator's product at (p, q) and carries its grade,
-    the generator's arrow at (p, q)."""
+    and q runs the mode's product at (p, q) and carries its grade, the
+    generator's arrow at (p, q).  A graded side is its tree hung below a
+    root edge typed by its grade, so grades compare as edge types do."""
     ((lhs, _),), ((rhs, _),) = relation
 
     def law(s, t, u, a, b, c, ops):
@@ -191,10 +195,12 @@ def _tree_law(relation):
                 return leaves[term]
             gen, left, right = term
             (x, p), (y, q) = value(left), value(right)
-            return (_PRODUCTS2[gen](x, y, p, q, ops),
+            return (_PRODUCTS[mode][gen](x, y, p, q, ops),
                     getattr(ops, GENERATOR_OPS[gen])(p, q))
 
-        return value(lhs)[0], value(rhs)[0]
+        if mode == "two_param":
+            return value(lhs)[0], value(rhs)[0]
+        return tuple(trees.graft(x, "", grade, None, None) for x, grade in map(value, (lhs, rhs)))
 
     return law
 
@@ -220,12 +226,12 @@ def _law_op3(s, t, u, a, b, c, ops):
     return lhs, rhs
 
 
-_MODE_LAWS = {
-    "two_param": tuple(zip(("TP1", "TP2", "TP3"),
-                           map(_tree_law, RELATIONS["duplicial"].relations))),
-    "one_param": (("OP1", _law_op1), ("OP2", _law_op2), ("OP3", _law_op3)),
-}
+_MODE_LAWS = {mode: tuple((f"{prefix}{n}", _tree_law(relation, mode)) for n, relation
+                          in enumerate(RELATIONS["duplicial"].relations, 1))
+              for mode, prefix in (("two_param", "TP"), ("graded", "G"))}
+_MODE_LAWS["one_param"] = (("OP1", _law_op1), ("OP2", _law_op2), ("OP3", _law_op3))
 _MODE_PARAMS = {"two_param": 3, "one_param": 2}
+_PARAMS = ("pa", "pb", "pc")  # the symbolic parameters of x, y and z
 
 
 # ---------------------------------------------------------------------------
@@ -237,6 +243,7 @@ class _Obligation:
     law: tuple  # (law id, lhs, rhs) as omega terms
     var_names: tuple  # the symbolic name of each term variable
     origin: tuple  # (s_sym, t_sym, u_sym, param names)
+    uses: list  # graded only: every (shapes, law id, var_names)
 
 
 def _collect_type_pairs(l, r, out: list):
@@ -260,12 +267,18 @@ def _collect_type_pairs(l, r, out: list):
     _collect_type_pairs(l.right, r.right, out)
 
 
+def _shape(t) -> str:
+    """``t`` without decorations and edge types, as text."""
+    return "_" if t is None else f"({_shape(t.left)}{_shape(t.right)})"
+
+
 @lru_cache(maxsize=16)
 def _obligations(mode: str, max_vertices: int) -> tuple[_Obligation, ...]:
     """The distinct per-edge type equations of the mode's laws over all
     tree triples up to the vertex bound.  Decorations never enter a type
-    equation, so the shapes carry a single one."""
-    pair = mode == "two_param"
+    equation, so the shapes carry a single one.  A graded obligation also
+    keeps every use, as the graded report needs them all."""
+    pair, graded = mode == "two_param", mode == "graded"
     shapes = []
     for n in range(1, max_vertices + 1):
         shapes.extend(trees.enumerate_trees(n, 1, 1, "pair" if pair else "single"))
@@ -277,9 +290,7 @@ def _obligations(mode: str, max_vertices: int) -> tuple[_Obligation, ...]:
                  for k in itertools.count())
         return _retype(t, lambda _: next(names))
 
-    params = ("pa", "pb", "pc")
-    seen = set()
-    out = []
+    seen: dict = {}  # (lhs, rhs) -> its obligation
     for s0 in shapes:
         s = fresh(s0, "s")
         for t0 in shapes:
@@ -287,7 +298,7 @@ def _obligations(mode: str, max_vertices: int) -> tuple[_Obligation, ...]:
             for u0 in shapes:
                 u = fresh(u0, "u")
                 for law_id, law in _MODE_LAWS[mode]:
-                    lhs, rhs = law(s, t, u, *params, _SYM)
+                    lhs, rhs = law(s, t, u, *_PARAMS, _SYM)
                     pairs: list = []
                     _collect_type_pairs(lhs, rhs, pairs)
                     for e1, e2 in pairs:
@@ -295,12 +306,18 @@ def _obligations(mode: str, max_vertices: int) -> tuple[_Obligation, ...]:
                             continue
                         mapping: dict = {}
                         terms = (_rename(e1, mapping), _rename(e2, mapping))
-                        if terms in seen:
-                            continue
-                        seen.add(terms)
-                        out.append(_Obligation((law_id,) + terms, tuple(mapping),
-                                               (s, t, u, params)))
-    return tuple(out)
+                        if terms not in seen:
+                            seen[terms] = _Obligation(
+                                (law_id,) + terms, tuple(mapping), (s, t, u, _PARAMS), [])
+                        if graded:
+                            seen[terms].uses.append(((s0, t0, u0), law_id, tuple(mapping)))
+    return tuple(seen.values())
+
+
+def _reproduce(law, args, o: OmegaStructure):
+    lhs, rhs = law(*args, o)
+    if lhs == rhs:
+        raise AssertionError("symbolic failure did not reproduce concretely")
 
 
 def _concrete_witness(mode: str, ob: _Obligation, env: dict, o: OmegaStructure):
@@ -310,18 +327,15 @@ def _concrete_witness(mode: str, ob: _Obligation, env: dict, o: OmegaStructure):
     *symbolic, pnames = ob.origin
     s, t, u = (_retype(x, value) for x in symbolic)
     ps = tuple(map(value, pnames))
-    law = dict(_MODE_LAWS[mode])[ob.law[0]]
-    lhs, rhs = law(s, t, u, *ps, o)
-    if lhs == rhs:
-        raise AssertionError("symbolic failure did not reproduce concretely")
-    n_params = _MODE_PARAMS[mode]
-    return (serialize(s), serialize(t), serialize(u)) + ps[:n_params]
+    _reproduce(dict(_MODE_LAWS[mode])[ob.law[0]], (s, t, u, *ps), o)
+    return (serialize(s), serialize(t), serialize(u)) + ps[:_MODE_PARAMS[mode]]
 
 
 def _check_factored(mode: str, o: OmegaStructure, max_vertices: int,
                     first_witness_only: bool) -> LawReport:
     report = LawReport(kind=mode)
     obligations = _obligations(mode, max_vertices)
+    report.details["obligations"] = len(obligations)
     tables = tables_by_op(o, ("la", "ra", "lt", "rt") if mode == "one_param"
                           else ("la", "ra"))
     for ob in obligations:
@@ -330,9 +344,7 @@ def _check_factored(mode: str, o: OmegaStructure, max_vertices: int,
             env = dict(zip(ob.var_names, found[1]))
             report.add(ob.law[0], _concrete_witness(mode, ob, env, o))
             if first_witness_only:
-                report.details["obligations"] = len(obligations)
                 return report
-    report.details["obligations"] = len(obligations)
     report.details["max_vertices"] = max_vertices
     return report
 
@@ -359,55 +371,56 @@ def graded_succ(x: GradedElement, y: GradedElement, e: OmegaStructure) -> Graded
                          e.ra(x.color, y.color))
 
 
-_GRADED_PRODUCTS = {"prec": graded_prec, "succ": graded_succ}
-
-
-def _slot_program(laws) -> tuple:
-    """Laws ``(id, lhs, rhs)`` over x, y, z as a program over slots: x, y, z
-    in slots 0-2 and the k-th distinct subterm, operands first, in slot
-    3 + k.  Returns the steps ``(product, left slot, right slot)`` and the
-    laws ``(id, lhs slot, rhs slot)``."""
-    terms = subterms(term for _, *sides in laws for term in sides)
-    slot = {term: k for k, term in enumerate((0, 1, 2, *terms))}
-    return (tuple((_GRADED_PRODUCTS[gen], slot[l], slot[r]) for gen, l, r in terms),
-            tuple((law_id, slot[lhs], slot[rhs]) for law_id, lhs, rhs in laws))
-
-
-# G1-G3: the duplicial relations, each side one monomial in x, y, z.
-_GRADED_STEPS, _GRADED_LAWS = _slot_program(tuple(
-    (f"G{n}", *monomials(relation))
-    for n, relation in enumerate(RELATIONS["duplicial"].relations, 1)))
+@lru_cache(maxsize=4)
+def _graded_scan(max_vertices: int, x_size: int, size: int) -> tuple:
+    """The tree-color pairs in scan order, each (tree, color, shape, its variable values
+    as x, y and z), and the graded uses by (shapes, law id): (obligation index, names)."""
+    elements = []
+    for n in range(1, max_vertices + 1):
+        for t in trees.enumerate_trees(n, x_size, size, "single"):
+            types: list = []  # in the order that ``_retype`` names them
+            _retype(t, lambda e: types.append(e) or e)
+            elements += [(t, c, _shape(t), [{f"{p}{k}": v for k, v in enumerate(types)}
+                                            | {param: c} for p, param in zip("stu", _PARAMS)])
+                         for c in range(size)]
+    uses: dict = {}
+    for i, ob in enumerate(_obligations("graded", max_vertices)):
+        for shapes, law_id, names in ob.uses:
+            uses.setdefault((tuple(map(_shape, shapes)), law_id), []).append((i, names))
+    return elements, uses
 
 
 def _check_graded(o: OmegaStructure, x_size: int, max_vertices: int,
                   first_witness_only: bool) -> LawReport:
+    """G1-G3 on every triple of tree-color pairs.  The compiled obligations give
+    the verdict; a failing structure has its triples scanned in order, each reported
+    under every law that one of its uses of a violated obligation breaks."""
     report = LawReport(kind="graded")
-    elements = []
-    for n in range(1, max_vertices + 1):
-        for t in trees.enumerate_trees(n, x_size, o.size, "single"):
-            for c in range(o.size):
-                elements.append(GradedElement(t, c))
-    cache: dict = {}
-    n_checked = 0
-    for x, y, z in itertools.product(elements, repeat=3):
-        values = [x, y, z]
-        for product, l, r in _GRADED_STEPS:
-            key = (product, values[l], values[r])
-            got = cache.get(key)
-            if got is None:
-                got = cache[key] = product(values[l], values[r], o)
-            values.append(got)
-        n_checked += len(_GRADED_LAWS)
-        for law_id, l, r in _GRADED_LAWS:
-            if values[l] != values[r]:
-                report.add(law_id, (serialize(x.tree), x.color,
-                                    serialize(y.tree), y.color,
-                                    serialize(z.tree), z.color))
+    elements, uses = _graded_scan(max_vertices, x_size, o.size)
+    obligations = _obligations("graded", max_vertices)
+    tables = tables_by_op(o, ("la", "ra", "lt", "rt"))
+    laws = _MODE_LAWS["graded"]
+
+    @lru_cache(maxsize=None)
+    def bad(i):  # the points that violate obligation i
+        found: list = []
+        first_violation((obligations[i].law,), tables, o.size, found)
+        return {args for _, args in found}
+
+    failing = first_violation(tuple(ob.law for ob in obligations), tables, o.size)
+    for count, ((xt, xc, xs, xv), (yt, yc, ys, yv), (zt, zc, zs, zv)) in enumerate(
+            itertools.product(elements, repeat=3) if failing else (), 1):
+        env = xv[0] | yv[1] | zv[2]
+        for law_id, law in laws:
+            if any(tuple(map(env.__getitem__, names)) in bad(i)
+                   for i, names in uses.get(((xs, ys, zs), law_id), ())):
+                if not report.witnesses:
+                    _reproduce(law, (xt, yt, zt, xc, yc, zc), o)
+                report.add(law_id, (serialize(xt), xc, serialize(yt), yc, serialize(zt), zc))
                 if first_witness_only:
-                    report.details["instances"] = n_checked
+                    report.details["instances"] = len(laws) * count
                     return report
-    report.details["instances"] = n_checked
-    report.details["max_vertices"] = max_vertices
+    report.details.update(instances=len(laws) * len(elements) ** 3, max_vertices=max_vertices)
     return report
 
 
@@ -429,10 +442,10 @@ def check_axioms(mode: str, o: OmegaStructure, x_size: int = 1,
         raise PreconditionError("an OmegaStructure is required")
     if mode in ("one_param", "graded") and not o.has_triangles:
         raise PreconditionError(f"mode {mode!r} requires triangle tables")
-    if mode == "graded":
-        return _check_graded(o, x_size, max_vertices, first_witness_only)
     if mode not in _MODE_LAWS:
         raise ValueError(f"unknown mode {mode!r}")
+    if mode == "graded":
+        return _check_graded(o, x_size, max_vertices, first_witness_only)
     return _check_factored(mode, o, max_vertices, first_witness_only)
 
 

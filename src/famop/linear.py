@@ -50,8 +50,10 @@ def _basis(dim: int, i: int) -> Vec:
 
 
 def _freeze_cube(raw, dim: int):
-    cube = tuple(tuple(tuple(Fraction(v) for v in row) for row in plane)
-                 for plane in raw)
+    try:
+        cube = tuple(tuple(tuple(Fraction(v) for v in row) for row in plane) for plane in raw)
+    except (TypeError, OverflowError):
+        raise ValueError(f"structure constants must form a {dim}^3 array of numbers") from None
     if len(cube) != dim or any(len(p) != dim for p in cube) or \
             any(len(r) != dim for p in cube for r in p):
         raise ValueError(f"structure constants must form a {dim}^3 array")
@@ -97,12 +99,15 @@ class FamilyBilinear:
         }
 
     @classmethod
-    def from_json(cls, data: dict) -> "FamilyBilinear":
-        ops = {}
-        for name, by_param in data["ops"].items():
-            ops[name] = {tuple(int(v) for v in key.strip("()").split(",")): cube
-                         for key, cube in by_param.items()}
-        return cls(data["dim"], data["omega_size"], ops)
+    def from_json(cls, data) -> "FamilyBilinear":
+        dim, omega_size, raw = omega_mod._json_fields(data, "family", "dim", "omega_size", "ops")
+        if type(dim) is not int or type(omega_size) is not int or not (
+                isinstance(raw, dict) and all(isinstance(v, dict) for v in raw.values())):
+            raise PreconditionError("a family needs integers dim and omega_size and "
+                                    "ops mapping each name to an object")
+        ops = {name: {tuple(int(v) for v in key.strip("()").split(",")): cube
+                      for key, cube in by_param.items()} for name, by_param in raw.items()}
+        return cls(dim, omega_size, ops)
 
 
 def zero_family(dim: int, omega_size: int, op_names) -> FamilyBilinear:

@@ -415,10 +415,11 @@ def compile_laws(laws):
     return tuple(ops), namespace["check"]
 
 
-def first_violation(laws, tables: dict, size: int):
-    """The first violated ``(law index, args)`` of ``laws``, or None."""
+def first_violation(laws, tables: dict, size: int, out: list | None = None):
+    """The first violated ``(law index, args)`` of ``laws``, or None; with
+    ``out`` a list, every violation is appended to it instead."""
     ops, check = compile_laws(laws)
-    return check(None, size, *[tables[op] for op in ops])
+    return check(out, size, *[tables[op] for op in ops])
 
 
 def check_laws(s, kind: str) -> LawReport:
@@ -429,11 +430,9 @@ def check_laws(s, kind: str) -> LawReport:
     """
     if kind not in KIND_LAWS:
         raise ValueError(f"unknown kind {kind!r}")
-    tables = _tables_of(s, kind)
     laws = KIND_LAWS[kind]
-    ops, check = compile_laws(laws)
     found: list = []
-    check(found, s.size, *[tables[op] for op in ops])
+    first_violation(laws, _tables_of(s, kind), s.size, found)
     report = LawReport(kind=kind)
     for i, args in found:
         report.add(laws[i][0], args)

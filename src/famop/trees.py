@@ -15,19 +15,14 @@ import math
 from dataclasses import dataclass
 
 from .errors import ParseError, ResourceBoundError
+from .omega import _json_fields
 
 Leaf = None
 
 # Edge type values are opaque to this module: concrete runs use ints and
 # int pairs, symbolic runs substitute expression objects.  Only two shape
 # questions are ever asked: "is it the sentinel?" (is None) and "is it a
-# pair?" (isinstance tuple).
-
-
-def flavor(edge_type) -> str | None:
-    if edge_type is None:
-        return None
-    return "pair" if isinstance(edge_type, tuple) else "single"
+# pair?" (a tuple).
 
 
 @dataclass(frozen=True)
@@ -45,25 +40,16 @@ class Node:
         if (self.rt is None) != (self.right is None):
             raise ValueError("right edge type must be the sentinel exactly when "
                              "the right child is a leaf")
-        flavors = {flavor(self.lt), flavor(self.rt),
-                   tree_flavor(self.left), tree_flavor(self.right)}
-        flavors.discard(None)
-        if len(flavors) > 1:
+        # A child was checked when it was built, so its own edge types carry
+        # its flavor.  A pair sits with pairs only; single types may differ.
+        l, r = self.left, self.right
+        kinds = set(map(type, (self.lt, self.rt, l and l.lt, l and l.rt, r and r.lt, r and r.rt)))
+        kinds.discard(type(None))
+        if tuple in kinds and len(kinds) > 1:
             raise ValueError("mixed single and pair edge types in one tree")
 
 
 Tree = Node | None
-
-
-def tree_flavor(t: Tree) -> str | None:
-    """The shared edge-type flavor of a tree, or None if it has no typed edge."""
-    if t is None:
-        return None
-    for et in (t.lt, t.rt):
-        f = flavor(et)
-        if f is not None:
-            return f
-    return tree_flavor(t.left) or tree_flavor(t.right)
 
 
 def graft(t1: Tree, dec: str, a, b, t2: Tree) -> Node:
@@ -278,9 +264,6 @@ def to_json(t: Tree):
 def from_json(data) -> Tree:
     if data is None:
         return Leaf
-
-    def jt(v):
-        return tuple(v) if isinstance(v, list) else v
-
-    return Node(data["dec"], jt(data["lt"]), from_json(data["left"]),
-                jt(data["rt"]), from_json(data["right"]))
+    dec, lt, rt, left, right = _json_fields(data, "tree", "dec", "lt", "rt", "left", "right")
+    lt, rt = (tuple(v) if isinstance(v, list) else v for v in (lt, rt))
+    return Node(dec, lt, from_json(left), rt, from_json(right))

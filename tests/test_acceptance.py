@@ -6,8 +6,6 @@ import itertools
 import random
 import time
 
-import pytest
-
 from famop import dims, duplicial, linear, omega, operads, presentations, trees
 
 PASS = "PASS"
@@ -105,7 +103,6 @@ def test_criterion_8_presented_quotients():
     _verdict(8, ok, "quotient class counts at arities 2..4")
 
 
-@pytest.mark.slow
 def test_criterion_9_typed_tree_axioms():
     start = time.monotonic()
     duplicials = (omega.enumerate_structures(1, "duplicial")

@@ -318,7 +318,7 @@ def test_graded_laws_from_the_relation_match_the_literal_scan():
     # x_size=1 and 3 s with x_size=2, so those bounds run on fewer samples.
     runs = [(1, x, first, edus + non_edus) for x in (1, 2) for first in (False, True)]
     runs += [(2, 1, True, edus[::4] + non_edus), (2, 1, False, edus[:2] + non_edus[:2]),
-             (2, 2, True, non_edus)]
+             (2, 2, True, non_edus), (3, 1, True, non_edus)]
     failed = 0
     for max_vertices, x_size, first, samples in runs:
         for s in samples:
@@ -326,7 +326,11 @@ def test_graded_laws_from_the_relation_match_the_literal_scan():
                                first_witness_only=first).to_json()
             assert got == _literal_graded(s, x_size, max_vertices, first).to_json()
             failed += not got["passed"]
-    assert failed == 4 * 40 + 40 + 2 + 40
+    assert failed == 4 * 40 + 40 + 2 + 40 + 40
+
+
+def test_graded_obligation_counts():
+    assert [len(duplicial._obligations("graded", k)) for k in (1, 2, 3)] == [9, 27, 53]
 
 
 def test_graded_products_color_rule():

@@ -219,6 +219,30 @@ def test_json_roundtrip_with_fraction_strings():
     assert b.ops == a.ops and b.dim == a.dim
 
 
+_FAMILY = {"dim": 1, "omega_size": 1, "ops": {"prec": {"(0,0)": [[["1/2"]]]}}}
+
+
+@pytest.mark.parametrize("data,error", [
+    (None, PreconditionError), (5, PreconditionError), ([], PreconditionError),
+    ({"dim": 1}, PreconditionError), ({**_FAMILY, "ops": 5}, PreconditionError),
+    ({**_FAMILY, "ops": {"prec": [1]}}, PreconditionError),
+    ({**_FAMILY, "dim": "1"}, PreconditionError),
+    ({**_FAMILY, "omega_size": 1.0}, PreconditionError),
+    ({**_FAMILY, "ops": {"prec": {"(0,0)": 5}}}, ValueError),
+    ({**_FAMILY, "ops": {"prec": {"(0,0)": [[[None]]]}}}, ValueError),
+    ({**_FAMILY, "ops": {"prec": {"(0,0)": [[[[1]]]]}}}, ValueError),
+    ({**_FAMILY, "ops": {"prec": {"(0,0)": [[["x"]]]}}}, ValueError),
+    ({**_FAMILY, "ops": {"prec": {"(0,0)": [[[float("inf")]]]}}}, ValueError),
+    ({**_FAMILY, "ops": {"prec": {"zz": [[[1]]]}}}, ValueError),
+    ({**_FAMILY, "ops": {"prec": {"(0,1)": [[[1]]]}}}, ValueError),
+    ({**_FAMILY, "dim": 2}, ValueError),
+])
+def test_malformed_family_json_raises_a_typed_error(data, error):
+    with pytest.raises(error):
+        FamilyBilinear.from_json(data)
+    assert FamilyBilinear.from_json(_FAMILY).ops["prec"][0, 0] == (((Fraction(1, 2),),),)
+
+
 def test_family_validation():
     with pytest.raises(ValueError):
         FamilyBilinear(1, 2, {"prec": {(0, 0): [[[Fraction(0)]]]}})

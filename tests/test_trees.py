@@ -2,7 +2,7 @@
 import pytest
 
 from famop import trees
-from famop.errors import ParseError, ResourceBoundError
+from famop.errors import ParseError, PreconditionError, ResourceBoundError
 from famop.trees import (Leaf, Node, depth, enumerate_trees, from_json, graft,
                          parse, serialize, stats, to_json, vertices)
 
@@ -114,3 +114,21 @@ def test_json_mirror_roundtrip():
         assert from_json(data) == t
     assert to_json(Leaf) is None
     assert from_json(None) is Leaf
+
+
+_X = {"dec": "x", "lt": None, "rt": None, "left": None, "right": None}
+
+
+@pytest.mark.parametrize("data,error", [
+    (5, PreconditionError), ("x", PreconditionError), ([], PreconditionError),
+    ([_X], PreconditionError), ({"dec": "x"}, PreconditionError),
+    ({**_X, "right": 5}, PreconditionError), ({**_X, "right": [_X]}, PreconditionError),
+    ({**_X, "rt": 1, "right": {"dec": "y"}}, PreconditionError),
+    ({**_X, "lt": 0, "left": "y"}, PreconditionError),
+    ({**_X, "lt": 1}, ValueError),
+    ({**_X, "lt": [1, 2], "left": _X, "rt": 3, "right": _X}, ValueError),
+    ({**_X, "rt": 0, "right": {**_X, "rt": [0, 0], "right": _X}}, ValueError),
+])
+def test_malformed_tree_json_raises_a_typed_error(data, error):
+    with pytest.raises(error):
+        from_json(data)
