@@ -154,20 +154,12 @@ def cubic_residual(series: PolySeries) -> list[IntPoly]:
     series order; all must vanish."""
     n_max = series.order
     r = [ZERO] + list(series.polys)
-    conv2 = [ZERO] * (n_max + 1)
-    conv3 = [ZERO] * (n_max + 1)
+    conv2 = [ZERO] * (n_max + 1)  # sum_{i+j=m} r_i r_j
+    conv3 = [ZERO] * (n_max + 1)  # sum_{i+j+k=m} r_i r_j r_k = sum_i r_i conv2[m-i]
     for m in range(n_max + 1):
-        acc2 = ZERO
         for i in range(1, m):
-            acc2 = acc2 + r[i] * r[m - i]
-        conv2[m] = acc2
-        acc3 = ZERO
-        for i in range(1, m - 1):
-            for j in range(1, m - i):
-                k = m - i - j
-                if k >= 1:
-                    acc3 = acc3 + r[i] * r[j] * r[k]
-        conv3[m] = acc3
+            conv2[m] = conv2[m] + r[i] * r[m - i]
+            conv3[m] = conv3[m] + r[i] * conv2[m - i]
     a3 = W * W * (W - ONE)
     a2x = W * W
     a2 = W * (W.scale(2) - IntPoly.const(2))

@@ -374,7 +374,8 @@ def graded_succ(x: GradedElement, y: GradedElement, e: OmegaStructure) -> Graded
 @lru_cache(maxsize=4)
 def _graded_scan(max_vertices: int, x_size: int, size: int) -> tuple:
     """The tree-color pairs in scan order, each (tree, color, shape, its variable values
-    as x, y and z), and the graded uses by (shapes, law id): (obligation index, names)."""
+    as x, y and z), and the graded uses by (shapes, law id): (obligation index, names).
+    Only a failing structure needs them."""
     elements = []
     for n in range(1, max_vertices + 1):
         for t in trees.enumerate_trees(n, x_size, size, "single"):
@@ -396,10 +397,16 @@ def _check_graded(o: OmegaStructure, x_size: int, max_vertices: int,
     the verdict; a failing structure has its triples scanned in order, each reported
     under every law that one of its uses of a violated obligation breaks."""
     report = LawReport(kind="graded")
-    elements, uses = _graded_scan(max_vertices, x_size, o.size)
     obligations = _obligations("graded", max_vertices)
     tables = tables_by_op(o, ("la", "ra", "lt", "rt"))
     laws = _MODE_LAWS["graded"]
+    failing = first_violation(tuple(ob.law for ob in obligations), tables, o.size)
+    if not failing:
+        count = o.size * sum(trees.tree_count(n, x_size, o.size, "single")
+                             for n in range(1, max_vertices + 1))
+        report.details.update(instances=len(laws) * count ** 3, max_vertices=max_vertices)
+        return report
+    elements, uses = _graded_scan(max_vertices, x_size, o.size)
 
     @lru_cache(maxsize=None)
     def bad(i):  # the points that violate obligation i
@@ -407,9 +414,8 @@ def _check_graded(o: OmegaStructure, x_size: int, max_vertices: int,
         first_violation((obligations[i].law,), tables, o.size, found)
         return {args for _, args in found}
 
-    failing = first_violation(tuple(ob.law for ob in obligations), tables, o.size)
     for count, ((xt, xc, xs, xv), (yt, yc, ys, yv), (zt, zc, zs, zv)) in enumerate(
-            itertools.product(elements, repeat=3) if failing else (), 1):
+            itertools.product(elements, repeat=3), 1):
         env = xv[0] | yv[1] | zv[2]
         for law_id, law in laws:
             if any(tuple(map(env.__getitem__, names)) in bad(i)

@@ -3,7 +3,10 @@
 A family algebra is a basis of dimension d with, for every operation
 symbol and every parameter pair, a d x d x d array of structure
 constants: ``c[i][j][k]`` is the coefficient of basis vector k in the
-product of basis vectors i and j.  All arithmetic is Fraction-exact.
+product of basis vectors i and j.  The constants are Fractions, but the
+law scan runs on the cubes times L, the lcm of their denominators: every
+monomial of a law has d product nodes, so each integer side is exactly L^d
+times its rational value.
 
 Every law is a classical relation of ``omega.RELATIONS``, a signed
 relation between linear combinations of tuple terms in x, y, z.  A family
@@ -31,9 +34,9 @@ from .report import LawReport
 Vec = tuple  # coefficient tuple over the basis
 
 
-def _product(cube, x: Vec, y: Vec) -> Vec:
-    """The bilinear product with structure constants ``cube``."""
-    out = [Fraction(0)] * len(x)
+def _product(cube, x: Vec, y: Vec, zero=0) -> Vec:
+    """The bilinear product of ``cube``, each coordinate summed from ``zero``."""
+    out = [zero] * len(x)
     for i, xi in enumerate(x):
         if xi:
             for j, yj in enumerate(y):
@@ -45,8 +48,8 @@ def _product(cube, x: Vec, y: Vec) -> Vec:
     return tuple(out)
 
 
-def _basis(dim: int, i: int) -> Vec:
-    return tuple(Fraction(1 if k == i else 0) for k in range(dim))
+def _basis(dim: int, i: int, number=Fraction) -> Vec:
+    return tuple(number(k == i) for k in range(dim))
 
 
 def _freeze_cube(raw, dim: int):
@@ -83,7 +86,7 @@ class FamilyBilinear:
         return self.ops[op][tuple(param)]
 
     def product(self, op: str, param, x: Vec, y: Vec) -> Vec:
-        return _product(self.cube(op, param), x, y)
+        return _product(self.cube(op, param), x, y, Fraction(0))
 
     def basis(self, i: int) -> Vec:
         return _basis(self.dim, i)
@@ -152,9 +155,18 @@ def random_family(dim: int, omega_size: int, op_names, seed: int,
 X, Y, Z = 0, 1, 2
 
 
+def _products(term) -> int:
+    return 0 if isinstance(term, int) else 1 + _products(term[1]) + _products(term[2])
+
+
 def _named(ids, name: str) -> tuple:
-    return tuple((law_id,) + relation
+    """The relations of ``name`` as laws, each homogeneous for ``_scan``."""
+    laws = tuple((law_id,) + relation
                  for law_id, relation in zip(ids, RELATIONS[name].relations))
+    for law_id, *relation in laws:
+        if len({_products(term) for term in monomials(relation)}) != 1:
+            raise ValueError(f"law {law_id} mixes monomials of different degrees")
+    return laws
 
 
 _CLASSIC_LAWS = {
@@ -208,9 +220,14 @@ def _scan(report: LawReport, laws, cubes, grades, dim: int, w: int) -> LawReport
     A variable takes its basis vector and its parameter; a product node
     whose operands carry p and q multiplies with ``cubes[op][p, q]`` and
     carries ``grades[op][p][q]``.  Each subterm is computed once per
-    instance."""
+    instance, on the cubes times the lcm of their denominators."""
     terms = _subterms(laws)
-    basis = [_basis(dim, n) for n in range(dim)]
+    names = {term[0] for term in terms}
+    scale = math.lcm(*(v.denominator for op in names for cube in cubes[op].values()
+                       for plane in cube for row in plane for v in row))
+    cubes = {op: {p: [[[v.numerator * (scale // v.denominator) for v in row] for row in plane]
+                      for plane in cube] for p, cube in cubes[op].items()} for op in names}
+    basis = [_basis(dim, n, int) for n in range(dim)]
     for i, j, k in itertools.product(range(dim), repeat=3):
         for params in itertools.product(range(w), repeat=3):
             values: dict = {X: (basis[i], params[X]), Y: (basis[j], params[Y]),
@@ -282,6 +299,9 @@ class GradedBasisAlgebra:
     ops: dict          # name -> dense (dim)^3 cube over the paired basis
     grades: dict       # name -> w x w table of result colors
 
+    def __post_init__(self):
+        self.ops = {name: _freeze_cube(cube, self.dim) for name, cube in self.ops.items()}
+
     @property
     def dim(self) -> int:
         return self.base_dim * self.omega_size
@@ -290,7 +310,7 @@ class GradedBasisAlgebra:
         return i * self.omega_size + color
 
     def product(self, op: str, x: Vec, y: Vec) -> Vec:
-        return _product(self.ops[op], x, y)
+        return _product(self.ops[op], x, y, Fraction(0))
 
     def basis(self, n: int) -> Vec:
         return _basis(self.dim, n)
@@ -315,7 +335,7 @@ def make_graded(a: FamilyBilinear, structure, kind: str) -> GradedBasisAlgebra:
             for k, c in enumerate(a.cube(name, (al, be))[i][j]):
                 if c:
                     dest[k * w + grade[al][be]] += c
-        ops[name] = tuple(tuple(tuple(r) for r in plane) for plane in cube)
+        ops[name] = cube
     return GradedBasisAlgebra(a.dim, w, ops, grades)
 
 

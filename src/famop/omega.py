@@ -148,6 +148,14 @@ class Magma:
         return cls(*_json_fields(data, "structure", "size", "table"))
 
 
+def _trusted(cls, *fields):
+    """``cls`` on tables the search built, unchecked: the checks are for input."""
+    obj = object.__new__(cls)
+    for name, value in zip(cls.__dataclass_fields__, fields):
+        object.__setattr__(obj, name, value)  # as __init__ does, keeping fast attributes
+    return obj
+
+
 def ds_projections(size: int) -> OmegaStructure:
     """Arrows given by projections: a <- b = a and a -> b = b."""
     if size < 1:
@@ -571,15 +579,15 @@ def enumerate_structures(size: int, kind: str, force: bool = False) -> list:
             f"size {size} exceeds the enumeration bound {size_bound(force)}; "
             f"pass force=True (size 4) or set FAMOP_MAX_SIZE")
 
-    if kind == "associative":
-        return [Magma(size, t) for t in _assoc_tables(size)]
     if kind in MAGMA_KINDS:
-        return [Magma(size, t) for t in _search_single(size, KIND_LAWS[kind], "mul")]
+        tables = (_assoc_tables(size) if kind == "associative"
+                  else _search_single(size, KIND_LAWS[kind], "mul"))
+        return [_trusted(Magma, size, t) for t in tables]
 
     pairs = _arrow_pairs(size, _laws("D2", "D3", "D4", "D5") if kind == "diassociative"
                          else _laws("U2"))
     if kind != "edus":
-        return [OmegaStructure(size, l, r) for l, r in pairs]
+        return [_trusted(OmegaStructure, size, l, r, None, None) for l, r in pairs]
 
     lt_laws, rt_laws = _laws("E00", "E1", "E2"), _laws("E0", "E3", "E4")
     out = []
@@ -591,7 +599,7 @@ def enumerate_structures(size: int, kind: str, force: bool = False) -> list:
         rts = _search_single(size, rt_laws, "rt", arrows)
         for lt in lts:
             for rt in rts:
-                out.append(OmegaStructure(size, left, right, lt, rt))
+                out.append(_trusted(OmegaStructure, size, left, right, lt, rt))
     return out
 
 

@@ -365,35 +365,45 @@ def check_operad_laws(which: str, max_size: int = 3) -> LawReport:
                         yield sa, sb, sc
 
     # Sequential associativity: (x o_a y) o_b z == x o_a (y o_b z), b in y.
+    # Each y o_b z is composed once per size pair, each x o_a y once.
+    inner: dict = {}
     for sa, sb, sc in size_triples(max_size):
+        if (sb, sc) not in inner:
+            inner[sb, sc] = [[[compose(y, b, z) for z in elements[2, sc]]
+                              for b in positions[1, sb]] for y in elements[1, sb]]
         for x in elements[0, sa]:
             for a in positions[0, sa]:
-                for y in elements[1, sb]:
-                    for b in positions[1, sb]:
-                        for z in elements[2, sc]:
+                for y, y_b in zip(elements[1, sb], inner[sb, sc]):
+                    xy = compose(x, a, y)
+                    for b, y_b_z in zip(positions[1, sb], y_b):
+                        for z, yz in zip(elements[2, sc], y_b_z):
                             instances += 1
-                            lhs = compose(compose(x, a, y), b, z)
-                            rhs = compose(x, a, compose(y, b, z))
+                            lhs = compose(xy, b, z)
+                            rhs = compose(x, a, yz)
                             if lhs != rhs:
                                 report.add("sequential", (repr(x), a, repr(y), b, repr(z)))
                             if which == "pairs" and not x.is_unit and not y.is_unit:
                                 seq_cases.add((_pair_case(a, x.value),
                                                _pair_case(b, y.value)))
 
-    # Parallel associativity: (x o_a y) o_a' z == (x o_a' z) o_a y.
+    # Parallel associativity: (x o_a y) o_a' z == (x o_a' z) o_a y, with
+    # each x o_a' z composed once per x.
     for sa, sb, sc in size_triples(top):
         if sa < 2:
             continue
         for x in elements[0, sa]:
+            with_z = {a2: [compose(x, a2, z) for z in elements[2, sc]]
+                      for a2 in positions[0, sa]}
             for a in positions[0, sa]:
                 for a2 in positions[0, sa]:
                     if a == a2:
                         continue
                     for y in elements[1, sb]:
-                        for z in elements[2, sc]:
+                        xy = compose(x, a, y)
+                        for z, xz in zip(elements[2, sc], with_z[a2]):
                             instances += 1
-                            lhs = compose(compose(x, a, y), a2, z)
-                            rhs = compose(compose(x, a2, z), a, y)
+                            lhs = compose(xy, a2, z)
+                            rhs = compose(xz, a, y)
                             if lhs != rhs:
                                 report.add("parallel", (repr(x), a, repr(y), a2, repr(z)))
                             if which == "pairs" and not x.is_unit:

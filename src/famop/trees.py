@@ -112,16 +112,22 @@ def dec_labels(x_size: int) -> list[str]:
     return [f"x{i}" for i in range(x_size)]
 
 
-def enumerate_trees(n: int, x_size: int, w: int, flavor: str = "single") -> list[Tree]:
-    """All trees with ``n`` internal vertices, decorations from a canonical
-    ``x_size``-element set and non-sentinel edge types over ``{0..w-1}``
-    (or pairs thereof), in canonical (serialization) order."""
+def tree_count(n: int, x_size: int, w: int, flavor: str = "single") -> int:
+    """The number of trees ``enumerate_trees`` lists, under its bounds."""
     if flavor not in ("single", "pair"):
         raise ValueError("flavor must be 'single' or 'pair'")
     if n < 0 or x_size < 1 or w < 1:
         raise ValueError("n >= 0, x_size >= 1 and w >= 1 required")
     if n > 6 or expected_tree_count(n, x_size, w, flavor) > 500_000:
         raise ResourceBoundError("tree enumeration bound exceeded")
+    return expected_tree_count(n, x_size, w, flavor)
+
+
+def enumerate_trees(n: int, x_size: int, w: int, flavor: str = "single") -> list[Tree]:
+    """All trees with ``n`` internal vertices, decorations from a canonical
+    ``x_size``-element set and non-sentinel edge types over ``{0..w-1}``
+    (or pairs thereof), in canonical (serialization) order."""
+    tree_count(n, x_size, w, flavor)
     if flavor == "single":
         types = list(range(w))
     else:

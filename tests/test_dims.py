@@ -61,9 +61,40 @@ def test_verify_identities_report():
     assert report.details["order"] == 8
 
 
+def _literal_residual(series):
+    """cubic_residual with the cube of R summed over every index triple."""
+    n_max = series.order
+    r = [IntPoly()] + list(series.polys)
+    w = IntPoly((0, 1))
+    out = []
+    for m in range(n_max + 1):
+        conv2 = sum((r[i] * r[m - i] for i in range(1, m)), IntPoly())
+        conv2_prev = sum((r[i] * r[m - 1 - i] for i in range(1, m - 1)), IntPoly())
+        conv3 = sum((r[i] * r[j] * r[m - i - j] for i in range(1, m)
+                     for j in range(1, m - i)), IntPoly())
+        res = w * w * (w - IntPoly((1,))) * conv3 + w * (w.scale(2) - IntPoly((2,))) * conv2
+        res = res - r[m]
+        if m >= 1:
+            res = res + w * w * conv2_prev + r[m - 1] * w.scale(2)
+        if m == 1:
+            res = res + IntPoly((1,))
+        out.append(res)
+    return out
+
+
+def test_cubic_residual_matches_the_literal_triple_sum():
+    for order in (1, 2, 5, 24):
+        series = r_sequence(order)
+        assert cubic_residual(series) == _literal_residual(series)
+    # a perturbed series has the same nonzero residual by both routes
+    polys = list(r_sequence(12).polys)
+    polys[6] = polys[6] + IntPoly((0, 3))
+    broken = dims.PolySeries(12, tuple(polys))
+    residual = cubic_residual(broken)
+    assert residual == _literal_residual(broken) and any(residual)
+
+
 def test_verify_identities_at_order_24():
-    # cubic_residual convolves literally, so it checks the recurrence's
-    # reused convolutions by an independent route
     report = verify_identities(24)
     assert report.passed, report.witnesses[:3]
 

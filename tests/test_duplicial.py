@@ -9,7 +9,7 @@ from famop.duplicial import (FreeAlgebraTarget, GradedElement, check_axioms,
                              free_morphism_eval, free_morphism_eval_alt,
                              graded_prec, graded_succ, prec1, prec2, succ1,
                              succ2, tree_generator)
-from famop.errors import PreconditionError
+from famop.errors import PreconditionError, ResourceBoundError
 from famop.omega import OmegaStructure, ds_projections, enumerate_structures
 from famop.report import LawReport
 from famop.trees import parse, serialize
@@ -327,6 +327,22 @@ def test_graded_laws_from_the_relation_match_the_literal_scan():
             assert got == _literal_graded(s, x_size, max_vertices, first).to_json()
             failed += not got["passed"]
     assert failed == 4 * 40 + 40 + 2 + 40 + 40
+
+
+def test_a_passing_graded_check_builds_no_elements(monkeypatch):
+    counts = {}
+    for x_size, max_vertices in ((1, 2), (2, 3)):
+        elements, _ = duplicial._graded_scan(max_vertices, x_size, 2)
+        counts[x_size, max_vertices] = 3 * len(elements) ** 3
+    monkeypatch.setattr(duplicial, "_graded_scan", None)
+    for (x_size, max_vertices), instances in counts.items():
+        report = check_axioms("graded", EDUS2[7], x_size=x_size, max_vertices=max_vertices)
+        assert report.passed and report.details["instances"] == instances
+    one = enumerate_structures(1, "edus")[0]
+    report = check_axioms("graded", one, x_size=40, max_vertices=3)
+    assert report.details["instances"] == 3 * (40 + 2 * 40 ** 2 + 5 * 40 ** 3) ** 3
+    with pytest.raises(ResourceBoundError):
+        check_axioms("graded", one, x_size=50, max_vertices=3)
 
 
 def test_graded_obligation_counts():

@@ -1,12 +1,15 @@
 """Family algebras by structure constants: laws, grading, equivalence."""
 import itertools
+import random
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from famop import omega
+from famop import linear, omega
 from famop.errors import PreconditionError
-from famop.linear import (FamilyBilinear, check_classic_laws,
+from famop.linear import (FamilyBilinear, GradedBasisAlgebra, check_classic_laws,
                           check_family_laws, color_support_ok,
                           constant_family, make_graded,
                           prelie_rooted_truncated, random_family, zero_family,
@@ -103,6 +106,15 @@ def test_graded_dimensions_and_color_support():
     assert color_support_ok(gr)
 
 
+def test_graded_constants_are_exact_rationals():
+    # float constants are read exactly, as Fraction does; non-numbers raise
+    g = GradedBasisAlgebra(1, 1, {"mul": [[[0.5]]]}, {"mul": ((0,),)})
+    assert g.ops["mul"] == (((Fraction(1, 2),),),)
+    assert check_classic_laws(g, "associative").passed
+    with pytest.raises(ValueError):
+        GradedBasisAlgebra(1, 1, {"mul": [[["x"]]]}, {"mul": ((0,),)})
+
+
 def test_graded_with_one_color_is_the_family_itself():
     z = zinbiel_truncated(3, 1)
     g = make_graded(z, ds_projections(1), "dendriform")
@@ -110,7 +122,6 @@ def test_graded_with_one_color_is_the_family_itself():
     assert g.ops["succ"] == z.ops["succ"][(0, 0)]
 
 
-@pytest.mark.slow
 def test_dendriform_equivalence_over_all_two_element_arrow_pairs():
     z = zinbiel_truncated(3, 2)
     for la in ALL_TABLES_2:
@@ -121,7 +132,6 @@ def test_dendriform_equivalence_over_all_two_element_arrow_pairs():
             assert graded_ok == omega.passes(structure, "diassociative")
 
 
-@pytest.mark.slow
 def test_prelie_equivalence_over_all_two_element_magmas():
     p = prelie_rooted_truncated(4, 2)
     for table in ALL_TABLES_2:
@@ -374,16 +384,30 @@ FAMILY_KINDS = {
 }
 
 
+def _mixed_denominators(dim, w, ops, seed):
+    """A random family whose every operation and parameter pair has its own
+    denominator, so the scan's common denominator is none of theirs."""
+    rng = random.Random(seed)
+    primes = iter((2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37))
+    return FamilyBilinear(dim, w, {
+        op: {p: [[[Fraction(rng.choice((0, 0, -2, -1, 1, 2)), den) for _ in range(dim)]
+                  for _ in range(dim)] for _ in range(dim)]
+             for p, den in zip(itertools.product(range(w), repeat=2), primes)}
+        for op in ops})
+
+
 @pytest.mark.parametrize("kind", sorted(FAMILY_KINDS))
 def test_family_laws_match_the_literal_restatement(kind):
     prereq, ops = FAMILY_KINDS[kind]
     failing = 0
     for n, s in enumerate(omega.enumerate_structures(2, prereq)):
         for dim in (1, 2):
-            a = random_family(dim, 2, ops, seed=100 * n + dim)
-            report = check_family_laws(a, s, kind)
-            _assert_matches(report, _reference_family(a, s, kind))
-            failing += not report.passed
+            for a in (random_family(dim, 2, ops, seed=100 * n + dim),
+                      random_family(dim, 2, ops, seed=100 * n + dim, max_denominator=7),
+                      _mixed_denominators(dim, 2, ops, seed=100 * n + dim)):
+                report = check_family_laws(a, s, kind)
+                _assert_matches(report, _reference_family(a, s, kind))
+                failing += not report.passed
         nilpotent = [[[Fraction(0)] * 2 for _ in range(2)] for _ in range(2)]
         nilpotent[0][0][1] = Fraction(1)
         c = constant_family(2, 2, dict.fromkeys(ops, nilpotent))
@@ -395,8 +419,46 @@ def test_family_laws_match_the_literal_restatement(kind):
 def test_classic_laws_match_the_literal_restatement(kind):
     ops = {"associative": ("mul",), "prelie": ("rhd",)}.get(kind, ("prec", "succ"))
     for seed in range(20):
-        a = random_family(1 + seed % 2, 1, ops, seed=seed)
-        _assert_matches(check_classic_laws(a, kind), _reference_classic(a, kind))
+        for a in (random_family(1 + seed % 2, 1, ops, seed=seed),
+                  random_family(1 + seed % 2, 1, ops, seed=seed, max_denominator=7),
+                  _mixed_denominators(1 + seed % 2, 1, ops, seed=seed)):
+            _assert_matches(check_classic_laws(a, kind), _reference_classic(a, kind))
+
+
+@settings(max_examples=40, deadline=None)
+@given(st.integers(0, 10 ** 6), st.fractions().filter(bool), st.sampled_from(sorted(FAMILY_KINDS)))
+def test_a_common_factor_on_every_cube_keeps_the_witnesses(seed, factor, kind):
+    # every side has two product nodes, so it scales by factor**2 on both sides
+    prereq, ops = FAMILY_KINDS[kind]
+    s = omega.enumerate_structures(2, prereq)[seed % 3]
+    a = random_family(2, 2, ops, seed=seed, max_denominator=5)
+    scaled = FamilyBilinear(2, 2, {op: {p: [[[factor * v for v in row] for row in plane]
+                                             for plane in cube]
+                                        for p, cube in by_param.items()}
+                                   for op, by_param in a.ops.items()})
+    assert check_family_laws(scaled, s, kind).witnesses == \
+        check_family_laws(a, s, kind).witnesses
+
+
+def test_every_law_is_homogeneous():
+    def products(term):
+        return 0 if isinstance(term, int) else 1 + products(term[1]) + products(term[2])
+
+    laws = [law for laws in linear._CLASSIC_LAWS.values() for law in laws]
+    laws += [law for laws, _ in linear._FAMILY_LAWS.values() for law in laws]
+    assert len(laws) == 16
+    for _, lhs, rhs in laws:
+        assert {products(term) for term, _ in lhs + rhs} == {2}
+
+
+def test_a_law_of_mixed_degree_is_rejected(monkeypatch):
+    # (xy)z = xy: the scan would compare L^2 and L times the rational sides
+    xy = ("mul", 0, 1)
+    relation = (((("mul", xy, 2), 1),), ((xy, 1),))
+    mixed = omega.Presented(("mul",), "planar", (relation,), "associative", ())
+    monkeypatch.setitem(omega.RELATIONS, "mixed", mixed)
+    with pytest.raises(ValueError, match="M1"):
+        linear._named(("M1",), "mixed")
 
 
 def test_graded_classic_laws_match_the_literal_restatement():

@@ -262,6 +262,22 @@ def test_size3_counts_and_lex_order(kind, count):
     assert all(check_laws(s, kind).passed for s in found)
 
 
+@pytest.mark.parametrize("kind", sorted(omega.KIND_LAWS))
+def test_enumerated_structures_equal_validated_constructions(kind):
+    # the search builds its output unvalidated; the public constructors
+    # must accept every table and build the same objects
+    for size in (1, 2, 3):
+        for s in enumerate_structures(size, kind):
+            if isinstance(s, Magma):
+                checked = Magma(s.size, [list(row) for row in s.table])
+            else:
+                checked = OmegaStructure(s.size, *([list(row) for row in t] if t else t
+                                                   for t in (s.left_arrow, s.right_arrow,
+                                                             s.left_tri, s.right_tri)))
+            assert s == checked and hash(s) == hash(checked)
+            assert vars(s) == vars(checked)
+
+
 # --- the row-factored arrow join against a literal pair scan ----------------
 
 def _assoc_ok(t):

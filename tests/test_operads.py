@@ -127,6 +127,71 @@ def test_operad_laws_pairs():
     assert report.passed
     assert report.details["seq_cases"] == 9
     assert report.details["par_cases"] == 7
+    assert report.details["instances"] == 19758
+
+
+def _literal_associativity(which, max_size, compose):
+    """The sequential and parallel witnesses of ``check_operad_laws``, every
+    composition made afresh for every instance."""
+    elements_of = operads._OPERADS[which][0]
+    top = max_size + (which == "pairs")
+
+    def carriers(first_top):
+        for sizes in itertools.product(range(1, first_top + 1), range(1, max_size + 1),
+                                       range(1, max_size + 1)):
+            if which != "corollas" or sum(sizes) <= max_size:
+                yield [frozenset(f"{name}{j}" for j in range(n))
+                       for name, n in zip("abc", sizes)]
+
+    out = []
+    for xs, ys, zs in carriers(max_size):
+        for x, a, y, b, z in itertools.product(elements_of(xs), sorted(xs), elements_of(ys),
+                                               sorted(ys), elements_of(zs)):
+            if compose(compose(x, a, y), b, z) != compose(x, a, compose(y, b, z)):
+                out.append(("sequential", (repr(x), a, repr(y), b, repr(z))))
+    for xs, ys, zs in carriers(top):
+        for x in elements_of(xs):
+            for (a, a2), y, z in itertools.product(itertools.permutations(sorted(xs), 2),
+                                                   elements_of(ys), elements_of(zs)):
+                if compose(compose(x, a, y), a2, z) != compose(compose(x, a2, z), a, y):
+                    out.append(("parallel", (repr(x), a, repr(y), a2, repr(z))))
+    return out
+
+
+def _swapped_when_plugged_at_the_head(x, a, y):
+    """Pair composition with the result reversed when y goes in at x's head:
+    a valid element, but not an operad."""
+    out = twist_compose(x, a, y)
+    if not x.is_unit and not y.is_unit and a == x.value[0]:
+        return PairElement(out.carrier, out.value[::-1])
+    return out
+
+
+def _star_when_plugged_at_the_root(x, a, y):
+    """Corolla composition that flattens the result to singleton branches
+    when y goes in at x's root."""
+    out = corolla_compose(x, a, y)
+    if a == x.root and y.branches:
+        return Corolla(out.root, {frozenset({v}) for v in out.carrier - {out.root}})
+    return out
+
+
+WRONG = (_swapped_when_plugged_at_the_head, _star_when_plugged_at_the_root)
+
+
+@pytest.mark.parametrize("which,max_size,compose", [
+    ("pairs", 3, _swapped_when_plugged_at_the_head),
+    ("pairs", 3, twist_compose),
+    ("corollas", 5, _star_when_plugged_at_the_root),
+    ("corollas", 5, corolla_compose),
+])
+def test_hoisted_scan_matches_the_literal_scan(monkeypatch, which, max_size, compose):
+    elements_of, _, relabel = operads._OPERADS[which]
+    monkeypatch.setitem(operads._OPERADS, which, (elements_of, compose, relabel))
+    report = check_operad_laws(which, max_size)
+    expected = _literal_associativity(which, max_size, compose)
+    assert [w for w in report.witnesses if w[0] in ("sequential", "parallel")] == expected
+    assert bool(expected) == (compose in WRONG)
 
 
 def test_operad_laws_corollas_total_6():
