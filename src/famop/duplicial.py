@@ -130,7 +130,7 @@ def _require_duplicial(o: OmegaStructure):
 
 
 def _require_edus(o: OmegaStructure):
-    if not o.has_triangles:
+    if not isinstance(o, OmegaStructure) or not o.has_triangles:
         raise PreconditionError("structure with triangle tables required")
     if not passes(o, "edus"):
         raise PreconditionError("parameter structure must satisfy the extended "

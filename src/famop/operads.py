@@ -13,8 +13,11 @@ import itertools
 from dataclasses import dataclass
 
 from . import presentations
+from .errors import ResourceBoundError
 from .omega import TwistedMonomial, twisted_product
 from .report import LawReport
+
+OPERAD_LAW_BUDGET = 500_000  # associativity and unit instances per check_operad_laws
 
 
 def _require_disjoint(a: frozenset, b: frozenset):
@@ -329,6 +332,23 @@ def _pair_case(pos, value) -> int:
     return 2
 
 
+class _CompositionTable(dict):
+    """Composition on interned ids for one first factor.  The distinct
+    ``elements`` take the ids 0, 1, ...; the first lookup of a key
+    ``[x_id, position, y_id]`` composes through the validating ``compose``
+    and gives the composite the id of an equal element met before, or a new one."""
+
+    def __init__(self, compose, elements: list):
+        self.compose, self.elements = compose, elements
+        self.ids = {e: i for i, e in enumerate(elements)}
+
+    def __missing__(self, key) -> int:
+        i, pos, j = key
+        self.elements.append(self.compose(self.elements[i], pos, self.elements[j]))
+        out = self[key] = self.ids.setdefault(self.elements[-1], len(self.elements) - 1)
+        return out
+
+
 def check_operad_laws(which: str, max_size: int = 3) -> LawReport:
     """Sequential and parallel associativity, unit behavior and relabeling
     equivariance over all elements and positions up to the size bounds.
@@ -338,10 +358,13 @@ def check_operad_laws(which: str, max_size: int = 3) -> LawReport:
     carrier.  For pairs the parallel scan additionally includes first
     carriers one label larger, since the pattern with both positions off
     the value needs four labels; the report counts the distinct
-    sequential and parallel case patterns observed.
+    sequential and parallel case patterns observed.  Over
+    ``OPERAD_LAW_BUDGET`` instances, counted first, raise ``ResourceBoundError``.
     """
     if which not in _OPERADS:
         raise ValueError(f"unknown operad {which!r}")
+    if max_size < 1:
+        raise ValueError("max_size must be at least 1")
     elements_of, compose, relabel = _OPERADS[which]
     report = LawReport(kind=f"{which}_operad")
     per_carrier = which != "corollas"
@@ -349,66 +372,63 @@ def check_operad_laws(which: str, max_size: int = 3) -> LawReport:
     par_cases: set = set()
     instances = 0
     top = max_size + (1 if which == "pairs" else 0)
-    elements = {}
-    positions = {}
-    for i, name in enumerate("abc"):
-        for sz in range(1, top + 1):
-            carrier = frozenset(f"{name}{j}" for j in range(sz))
-            elements[i, sz] = elements_of(carrier)
-            positions[i, sz] = sorted(carrier)
 
-    def size_triples(first_top: int):
-        for sa in range(1, first_top + 1):
-            for sb in range(1, max_size + 1):
-                for sc in range(1, max_size + 1):
+    def size_triples(first_top: int, cap: int = top):
+        for sa in range(1, min(first_top, cap) + 1):
+            for sb in range(1, min(max_size, cap) + 1):
+                for sc in range(1, min(max_size, cap) + 1):
                     if per_carrier or sa + sb + sc <= max_size:
                         yield sa, sb, sc
 
-    # Sequential associativity: (x o_a y) o_b z == x o_a (y o_b z), b in y.
-    # Each y o_b z is composed once per size pair, each x o_a y once.
-    inner: dict = {}
-    for sa, sb, sc in size_triples(max_size):
-        if (sb, sc) not in inner:
-            inner[sb, sc] = [[[compose(y, b, z) for z in elements[2, sc]]
-                              for b in positions[1, sb]] for y in elements[1, sb]]
-        for x in elements[0, sa]:
-            for a in positions[0, sa]:
-                for y, y_b in zip(elements[1, sb], inner[sb, sc]):
-                    xy = compose(x, a, y)
-                    for b, y_b_z in zip(positions[1, sb], y_b):
-                        for z, yz in zip(elements[2, sc], y_b_z):
-                            instances += 1
-                            lhs = compose(xy, b, z)
-                            rhs = compose(x, a, yz)
-                            if lhs != rhs:
-                                report.add("sequential", (repr(x), a, repr(y), b, repr(z)))
-                            if which == "pairs" and not x.is_unit and not y.is_unit:
-                                seq_cases.add((_pair_case(a, x.value),
-                                               _pair_case(b, y.value)))
+    # The sizes built so far bound the instances from below: an oversized check stops early.
+    elements, positions = {}, {}
+    for cap in range(1, top + 1):
+        for i, name in enumerate("abc"):
+            carrier = frozenset(f"{name}{j}" for j in range(cap))
+            elements[i, cap] = elements_of(carrier)
+            positions[i, cap] = sorted(carrier)
+        n = {s: len(elements[0, s]) for s in range(1, cap + 1)}
+        seq = sum(n[p] * p * n[q] * q * n[r] for p, q, r in size_triples(max_size, cap))
+        par = sum(n[p] * p * (p - 1) * n[q] * n[r] for p, q, r in size_triples(top, cap))
+        units = sum(n[s] * (s + 1) for s in range(1, min(cap, max_size) + 1))
+        if seq + par + units > OPERAD_LAW_BUDGET:
+            raise ResourceBoundError(f"{which} at max {max_size}: over {OPERAD_LAW_BUDGET} instances")
 
-    # Parallel associativity: (x o_a y) o_a' z == (x o_a' z) o_a y, with
-    # each x o_a' z composed once per x.
+    # Sequential associativity: (x o_a y) o_b z == x o_a (y o_b z), b in y.
+    for sa, sb, sc in size_triples(max_size):
+        ys, zs = elements[1, sb], elements[2, sc]
+        for x in elements[0, sa]:
+            comp = _CompositionTable(compose, [x, *ys, *zs])
+            for a in positions[0, sa]:
+                for yi, y in enumerate(ys, 1):
+                    xy = comp[0, a, yi]
+                    for b in positions[1, sb]:
+                        if which == "pairs" and not x.is_unit and not y.is_unit:
+                            seq_cases.add((_pair_case(a, x.value), _pair_case(b, y.value)))
+                        for zi, z in enumerate(zs, len(ys) + 1):
+                            instances += 1
+                            if comp[xy, b, zi] != comp[0, a, comp[yi, b, zi]]:
+                                report.add("sequential", (repr(x), a, repr(y), b, repr(z)))
+
+    # Parallel associativity: (x o_a y) o_a' z == (x o_a' z) o_a y.
     for sa, sb, sc in size_triples(top):
         if sa < 2:
             continue
+        ys, zs = elements[1, sb], elements[2, sc]
         for x in elements[0, sa]:
-            with_z = {a2: [compose(x, a2, z) for z in elements[2, sc]]
-                      for a2 in positions[0, sa]}
+            comp = _CompositionTable(compose, [x, *ys, *zs])
             for a in positions[0, sa]:
                 for a2 in positions[0, sa]:
                     if a == a2:
                         continue
-                    for y in elements[1, sb]:
-                        xy = compose(x, a, y)
-                        for z, xz in zip(elements[2, sc], with_z[a2]):
+                    if which == "pairs" and not x.is_unit:
+                        par_cases.add((_pair_case(a, x.value), _pair_case(a2, x.value)))
+                    for yi, y in enumerate(ys, 1):
+                        xy = comp[0, a, yi]
+                        for zi, z in enumerate(zs, len(ys) + 1):
                             instances += 1
-                            lhs = compose(xy, a2, z)
-                            rhs = compose(xz, a, y)
-                            if lhs != rhs:
+                            if comp[xy, a2, zi] != comp[comp[0, a2, zi], a, yi]:
                                 report.add("parallel", (repr(x), a, repr(y), a2, repr(z)))
-                            if which == "pairs" and not x.is_unit:
-                                par_cases.add((_pair_case(a, x.value),
-                                               _pair_case(a2, x.value)))
 
     # Unit behavior: the singleton element swallows compositions.
     for unit in elements_of(frozenset({"u0"})):
@@ -428,8 +448,8 @@ def check_operad_laws(which: str, max_size: int = 3) -> LawReport:
     # Relabeling equivariance: renaming after composing equals composing
     # the renamed factors, with the plugged position routed through a
     # fresh name so the factors stay disjoint.
-    for sa in range(1, 3):
-        for sb in range(1, 3):
+    for sa in range(1, min(top, 2) + 1):
+        for sb in range(1, min(top, 2) + 1):
             for x in elements[0, sa]:
                 for a in positions[0, sa]:
                     for y in elements[1, sb]:

@@ -1,5 +1,6 @@
 """Command-line surface: outputs, exit codes, determinism."""
 import json
+import time
 
 import pytest
 
@@ -96,6 +97,30 @@ def test_operad_check_twist(capsys):
     assert payload["passed"] is True
     assert payload["seq_cases"] == 9
     assert payload["par_cases"] == 7
+
+
+@pytest.mark.parametrize("which,bound,expected", [
+    ("twist", 0, 2), ("corolla", 0, 2), ("perm", 0, 2), ("corolla", 1, 0), ("perm", 1, 0),
+    ("twist", 1, 0),
+])
+def test_operad_check_at_small_max(capsys, which, bound, expected):
+    code, out, err = run(capsys, ["operad", "check", "--which", which, "--max", str(bound)])
+    assert code == expected
+    assert len(err.strip().splitlines()) == 1
+    assert "Traceback" not in err
+    if expected == 0:
+        assert json.loads(out)["passed"] is True
+    else:
+        assert out == ""
+
+
+def test_operad_check_over_the_budget_exits_3_at_once(capsys):
+    start = time.perf_counter()
+    code, out, err = run(capsys, ["operad", "check", "--which", "twist", "--max", "6"])
+    assert time.perf_counter() - start < 2
+    assert code == 3
+    assert "instances" in json.loads(out)["error"]
+    assert err.startswith("resource bound:")
 
 
 def test_operad_iso(capsys):
@@ -218,6 +243,17 @@ def test_trees_product_modes(capsys, proj2_file, edus_file):
                                 "(x . . _ _)", "(y . . _ _)"])
     assert code == 0
     assert json.loads(out)["result"] == "(y 1 . (x . . _ _) _)"
+
+
+@pytest.mark.parametrize("mode,param", [
+    ("prec1", "1"), ("succ1", "1"), ("prec2", "0,1"), ("succ2", "0,1"),
+])
+def test_trees_product_on_a_magma_file_is_a_usage_error(capsys, magma_file, mode, param):
+    code, out, err = run(capsys, ["trees", "product", "--mode", mode, "--omega", magma_file,
+                                  "--param", param, "(x . . _ _)", "(y . . _ _)"])
+    assert code == 2
+    assert out == ""
+    assert len(err.strip().splitlines()) == 1
 
 
 def test_family_check(capsys, proj2_file, edus_file, tmp_path):

@@ -92,6 +92,15 @@ def test_products_reject_leaves_and_bad_structures():
         prec1(x_(), y_(), 0, NON_EDUS)
 
 
+@pytest.mark.parametrize("product,params", [
+    (prec1, (1,)), (succ1, (1,)), (prec2, (0, 1)), (succ2, (0, 1)),
+])
+def test_products_reject_a_magma(product, params):
+    magma = omega.Magma.from_json({"size": 2, "table": [[0, 0], [0, 0]]})
+    with pytest.raises(PreconditionError):
+        product(x_(), y_(), *params, magma)
+
+
 # --- one-parameter products --------------------------------------------------
 
 def test_prec1_succ1_single_vertices():

@@ -4,6 +4,7 @@ import itertools
 import pytest
 
 from famop import operads, presentations
+from famop.errors import ResourceBoundError
 from famop.omega import NatMultiset, TwistedMonomial, multiset_product
 from famop.operads import (Corolla, LinearOrder, PairElement, PermPoint,
                            binary_product, check_operad_laws, corolla_compose,
@@ -130,6 +131,21 @@ def test_operad_laws_pairs():
     assert report.details["instances"] == 19758
 
 
+def test_operad_laws_pairs_4():
+    report = check_operad_laws("pairs", 4)
+    assert report.passed
+    assert (report.details["seq_cases"], report.details["par_cases"]) == (9, 7)
+    assert report.details["instances"] == 363558
+
+
+def test_operad_law_bound():
+    with pytest.raises(ValueError):
+        check_operad_laws("perm", 0)
+    for which, max_size in (("pairs", 5), ("corollas", 10), ("orders", 4), ("perm", 10**9)):
+        with pytest.raises(ResourceBoundError):
+            check_operad_laws(which, max_size)
+
+
 def _literal_associativity(which, max_size, compose):
     """The sequential and parallel witnesses of ``check_operad_laws``, every
     composition made afresh for every instance."""
@@ -176,7 +192,19 @@ def _star_when_plugged_at_the_root(x, a, y):
     return out
 
 
-WRONG = (_swapped_when_plugged_at_the_head, _star_when_plugged_at_the_root)
+def _last_plugged_point(x, a, y):
+    """Perm composition that always keeps y's point."""
+    return PermPoint(perm_compose(x, a, y).carrier, y.value)
+
+
+def _block_reversed(x, a, y):
+    """Order composition that inserts y's sequence backwards."""
+    i = x.sequence.index(a)
+    return LinearOrder(x.sequence[:i] + y.sequence[::-1] + x.sequence[i + 1:])
+
+
+WRONG = (_swapped_when_plugged_at_the_head, _star_when_plugged_at_the_root,
+         _last_plugged_point, _block_reversed)
 
 
 @pytest.mark.parametrize("which,max_size,compose", [
@@ -184,6 +212,10 @@ WRONG = (_swapped_when_plugged_at_the_head, _star_when_plugged_at_the_root)
     ("pairs", 3, twist_compose),
     ("corollas", 5, _star_when_plugged_at_the_root),
     ("corollas", 5, corolla_compose),
+    ("perm", 3, _last_plugged_point),
+    ("perm", 3, perm_compose),
+    ("orders", 3, _block_reversed),
+    ("orders", 3, order_compose),
 ])
 def test_hoisted_scan_matches_the_literal_scan(monkeypatch, which, max_size, compose):
     elements_of, _, relabel = operads._OPERADS[which]
@@ -192,6 +224,38 @@ def test_hoisted_scan_matches_the_literal_scan(monkeypatch, which, max_size, com
     expected = _literal_associativity(which, max_size, compose)
     assert [w for w in report.witnesses if w[0] in ("sequential", "parallel")] == expected
     assert bool(expected) == (compose in WRONG)
+
+
+@pytest.mark.parametrize("which,max_size", [("pairs", 3), ("corollas", 5)])
+def test_each_distinct_composition_is_made_once_per_first_factor(monkeypatch, which,
+                                                                 max_size):
+    elements_of, compose, relabel = operads._OPERADS[which]
+    received = []
+
+    def recording(x, a, y):
+        received.append((x, a, y))
+        return compose(x, a, y)
+
+    scopes = []
+    make_table = operads._CompositionTable
+
+    def scoped_table(compose, elements):
+        seen = []
+        scopes.append(seen)
+        return make_table(lambda x, a, y: seen.append((x, a, y)) or compose(x, a, y), elements)
+
+    monkeypatch.setitem(operads._OPERADS, which, (elements_of, recording, relabel))
+    monkeypatch.setattr(operads, "_CompositionTable", scoped_table)
+    assert check_operad_laws(which, max_size).passed
+    literal = set()
+    _literal_associativity(which, max_size,
+                           lambda x, a, y: literal.add((x, a, y)) or compose(x, a, y))
+    # The unit and relabel sections compose outside the scans, on "u0" and "hole".
+    in_scans = {(x, a, y) for x, a, y in received
+                if a != "hole" and "u0" not in x.carrier | y.carrier}
+    assert in_scans == literal
+    assert set().union(*scopes) == literal
+    assert all(len(set(scope)) == len(scope) for scope in scopes)
 
 
 def test_operad_laws_corollas_total_6():
