@@ -5,13 +5,14 @@ parameter-set size w from the four-term recurrence; ``verify_identities``
 checks the cubic series identity and the structural facts (degree,
 leading coefficient, divisibility, specialization at w = 1);
 ``count_basis_trees`` is an independent oracle that counts operation
-trees avoiding the three forbidden left-child patterns.
+trees avoiding the left-comb monomials of the duplicial relations.
 """
 from __future__ import annotations
 
 from dataclasses import dataclass
 
 from .errors import ResourceBoundError
+from .omega import GENERATOR_OPS, RELATIONS, ds_projections, monomials
 from .report import LawReport
 from .trees import catalan
 
@@ -207,19 +208,12 @@ def verify_identities(order: int) -> LawReport:
 # Pattern-avoiding oracle
 
 
-def _projection_tables(w: int):
-    left = tuple(tuple(a for _ in range(w)) for a in range(w))
-    return left, left
-
-
 def count_basis_trees(n: int, w: int, tables=None) -> int:
-    """Count operation trees with ``n`` leaves, each internal vertex
-    decorated by an operation symbol (0 = left-type, 1 = right-type) and a
-    parameter pair, avoiding the three forbidden left-child patterns:
-
-    - left child (0, a, b) under a vertex (0, d, g) with d = a <- b,
-    - left child (1, a, b) under a vertex (0, d, g) with d = a -> b,
-    - left child (1, a, b) under a vertex (1, d, g) with d = a -> b.
+    """Count operation trees with ``n`` leaves, each internal vertex decorated
+    by a generator of ``RELATIONS["duplicial"]`` (0 = prec, 1 = succ) and a
+    parameter pair, avoiding the left comb (g, (g', x, y), z) of each relation:
+    a left child (g', a, b) under a vertex (g, d, e) is forbidden when d is
+    the arrow of g' (``GENERATOR_OPS``) at (a, b).
 
     By default both arrows are left projections; any (la, ra) table pair
     may be supplied, and the count is table-independent because each
@@ -229,39 +223,24 @@ def count_basis_trees(n: int, w: int, tables=None) -> int:
         raise ValueError("n >= 1 and w >= 1 required")
     if n > 8 or w > 4:
         raise ResourceBoundError("count_basis_trees bound exceeded (n <= 8, w <= 4)")
-    if n == 1:
-        return 1
-    la, ra = tables if tables is not None else _projection_tables(w)
+    gens = RELATIONS["duplicial"].generators
+    la, ra = tables if tables is not None else (ds_projections(w).left_arrow,) * 2
+    arrow = [{"la": la, "ra": ra}[GENERATOR_OPS[g]] for g in gens]
+    forbidden = {(gens.index(t[0]), gens.index(t[1][0])) for r in RELATIONS["duplicial"].relations
+                 for t in monomials(r) if isinstance(t[1], tuple)}  # left combs (g, (g', x, y), z)
+    count: list = [None, None]  # count[m][op, d]: trees with m >= 2 leaves, root (op, d, e), any e
+    total = [None, 1]  # total[m]: the trees with m leaves
 
-    root_keys = [(op, d, g) for op in (0, 1) for d in range(w) for g in range(w)]
-    # count[m][key]: trees with m leaves whose root carries the decoration.
-    count: list[dict] = [dict() for _ in range(n + 1)]
-
-    def total(m: int) -> int:
-        if m == 1:
-            return 1
-        return sum(count[m].values())
-
-    def left_total(m: int, op: int, d: int) -> int:
-        if m == 1:
-            return 1
-        acc = 0
-        for (cop, a, b), c in count[m].items():
-            if cop == 0 and op == 0 and d == la[a][b]:
-                continue
-            if cop == 1 and d == ra[a][b]:
-                continue
-            acc += c
-        return acc
+    # The trees with m leaves allowed as the left child of a vertex (op, d, _).
+    def left(m: int, op: int, d: int) -> int:
+        return 1 if m == 1 else sum(c for (cop, a), c in count[m].items() for b in range(w)
+                                    if (op, cop) not in forbidden or d != arrow[cop][a][b])
 
     for m in range(2, n + 1):
-        for key in root_keys:
-            op, d, _g = key
-            acc = 0
-            for i in range(1, m):
-                acc += left_total(i, op, d) * total(m - i)
-            count[m][key] = acc
-    return total(n)
+        count.append({(op, d): sum(left(i, op, d) * total[m - i] for i in range(1, m))
+                      for op in range(len(gens)) for d in range(w)})
+        total.append(w * sum(count[m].values()))
+    return total[n]
 
 
 def evaluate(obj, w: int):

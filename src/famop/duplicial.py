@@ -22,7 +22,7 @@ from functools import lru_cache, partial
 from types import SimpleNamespace
 
 from . import trees
-from .errors import PreconditionError
+from .errors import LAW_BUDGET, PreconditionError, ResourceBoundError
 from .omega import (GENERATOR_OPS, RELATIONS, OmegaStructure, first_violation,
                     passes, tables_by_op)
 from .report import LawReport
@@ -118,53 +118,59 @@ def _succ1_raw(t, w, u, ops):
 # Public products
 
 
-def _require_nonleaf(*ts):
-    for t in ts:
-        if t is None:
-            raise PreconditionError("products are defined on non-leaf trees only")
+def _require_kind(o: OmegaStructure, kind: str):
+    """A parameter structure of ``kind``, ``duplicial`` or ``edus``."""
+    edus = kind == "edus"
+    if not isinstance(o, OmegaStructure) or edus and not o.has_triangles:
+        raise PreconditionError(f"an OmegaStructure{' with triangle tables' * edus} is required")
+    if not passes(o, kind):
+        raise PreconditionError(f"parameter structure must satisfy the "
+                                f"{'extended ' * edus}duplicial laws")
 
 
-def _require_duplicial(o: OmegaStructure):
-    if not passes(o, "duplicial"):
-        raise PreconditionError("parameter structure must satisfy the duplicial laws")
-
-
-def _require_edus(o: OmegaStructure):
-    if not isinstance(o, OmegaStructure) or not o.has_triangles:
-        raise PreconditionError("structure with triangle tables required")
-    if not passes(o, "edus"):
-        raise PreconditionError("parameter structure must satisfy the extended "
-                                "duplicial laws")
+def _require_operands(o: OmegaStructure, kind: str, edge, *ts):
+    """Non-leaf operands ``ts``, a structure of ``kind``, and the new edge's type
+    ``edge`` and every edge type of ``ts`` of the product's flavor (an int pair
+    for ``duplicial``, an int for ``edus``) with values in 0..size-1."""
+    if any(t is None for t in ts):
+        raise PreconditionError("products are defined on non-leaf trees only")
+    _require_kind(o, kind)
+    pair, ok = kind == "duplicial", range(o.size)
+    types, stack = [edge], list(ts)
+    while stack:
+        t = stack.pop()
+        types += [e for e in (t.lt, t.rt) if e is not None]
+        stack += [c for c in (t.left, t.right) if c is not None]
+    for e in types:
+        values = e if pair and isinstance(e, tuple) and len(e) == 2 else (e,)
+        if isinstance(e, tuple) != pair or not all(type(v) is int and v in ok for v in values):
+            raise PreconditionError(f"edge type {e} not an int{' pair' * pair} in range({o.size})")
 
 
 def prec2(s: Node, t: Node, alpha: int, beta: int, o: OmegaStructure) -> Node:
     """Graft t at the rightmost leaf of s; new edge typed (alpha, beta),
     s edges (w, u) -> (w, u <- beta), t edges (w, u) -> (alpha <- w, u)."""
-    _require_nonleaf(s, t)
-    _require_duplicial(o)
+    _require_operands(o, "duplicial", (alpha, beta), s, t)
     return _prec2_raw(s, t, alpha, beta, o)
 
 
 def succ2(s: Node, t: Node, alpha: int, beta: int, o: OmegaStructure) -> Node:
     """Graft s at the leftmost leaf of t; new edge typed (alpha, beta),
     t edges (w, u) -> (alpha -> w, u), s edges (w, u) -> (w, u -> beta)."""
-    _require_nonleaf(s, t)
-    _require_duplicial(o)
+    _require_operands(o, "duplicial", (alpha, beta), s, t)
     return _succ2_raw(s, t, alpha, beta, o)
 
 
 def prec1(t: Node, u: Node, omega: int, e: OmegaStructure) -> Node:
     """One-parameter left product on single-typed trees over an extended
     duplicial semigroup."""
-    _require_nonleaf(t, u)
-    _require_edus(e)
+    _require_operands(e, "edus", omega, t, u)
     return _prec1_raw(t, omega, u, e)
 
 
 def succ1(t: Node, u: Node, omega: int, e: OmegaStructure) -> Node:
     """One-parameter right product on single-typed trees."""
-    _require_nonleaf(t, u)
-    _require_edus(e)
+    _require_operands(e, "edus", omega, t, u)
     return _succ1_raw(t, omega, u, e)
 
 
@@ -282,6 +288,8 @@ def _obligations(mode: str, max_vertices: int) -> tuple[_Obligation, ...]:
     shapes = []
     for n in range(1, max_vertices + 1):
         shapes.extend(trees.enumerate_trees(n, 1, 1, "pair" if pair else "single"))
+    if len(_MODE_LAWS[mode]) * len(shapes) ** 3 > LAW_BUDGET:
+        raise ResourceBoundError(f"{mode} obligations at max_vertices {max_vertices}: over budget")
 
     def fresh(t, prefix: str):
         """``t`` with its k-th edge typed by the variable ``{prefix}{k}``,
@@ -331,18 +339,14 @@ def _concrete_witness(mode: str, ob: _Obligation, env: dict, o: OmegaStructure):
     return (serialize(s), serialize(t), serialize(u)) + ps[:_MODE_PARAMS[mode]]
 
 
-def _check_factored(mode: str, o: OmegaStructure, max_vertices: int,
-                    first_witness_only: bool) -> LawReport:
-    report = LawReport(kind=mode)
-    obligations = _obligations(mode, max_vertices)
-    report.details["obligations"] = len(obligations)
-    tables = tables_by_op(o, ("la", "ra", "lt", "rt") if mode == "one_param"
-                          else ("la", "ra"))
+def _factored_report(mode: str, o: OmegaStructure, max_vertices: int, obligations,
+                     tables: dict, first_witness_only: bool) -> LawReport:
+    """Each violated obligation at its first point, in obligation order."""
+    report = LawReport(kind=mode, details={"obligations": len(obligations)})
     for ob in obligations:
         found = first_violation((ob.law,), tables, o.size)
         if found is not None:
-            env = dict(zip(ob.var_names, found[1]))
-            report.add(ob.law[0], _concrete_witness(mode, ob, env, o))
+            report.add(ob.law[0], _concrete_witness(mode, ob, dict(zip(ob.var_names, found[1])), o))
             if first_witness_only:
                 return report
     report.details["max_vertices"] = max_vertices
@@ -371,6 +375,14 @@ def graded_succ(x: GradedElement, y: GradedElement, e: OmegaStructure) -> Graded
                          e.ra(x.color, y.color))
 
 
+@lru_cache(maxsize=16)
+def _graded_instances(max_vertices: int, x_size: int, size: int) -> int:
+    """G1-G3 on every triple of tree-color pairs up to the vertex bound."""
+    count = size * sum(trees.tree_count(n, x_size, size, "single")
+                       for n in range(1, max_vertices + 1))
+    return len(_MODE_LAWS["graded"]) * count ** 3
+
+
 @lru_cache(maxsize=4)
 def _graded_scan(max_vertices: int, x_size: int, size: int) -> tuple:
     """The tree-color pairs in scan order, each (tree, color, shape, its variable values
@@ -391,22 +403,16 @@ def _graded_scan(max_vertices: int, x_size: int, size: int) -> tuple:
     return elements, uses
 
 
-def _check_graded(o: OmegaStructure, x_size: int, max_vertices: int,
-                  first_witness_only: bool) -> LawReport:
-    """G1-G3 on every triple of tree-color pairs.  The compiled obligations give
-    the verdict; a failing structure has its triples scanned in order, each reported
+def _graded_report(o: OmegaStructure, x_size: int, max_vertices: int, obligations,
+                   tables: dict, first_witness_only: bool) -> LawReport:
+    """G1-G3 on every triple of tree-color pairs, in order, each triple reported
     under every law that one of its uses of a violated obligation breaks."""
+    instances = _graded_instances(max_vertices, x_size, o.size)
+    if instances > LAW_BUDGET:
+        raise ResourceBoundError(f"graded scan at max_vertices {max_vertices}: over budget")
     report = LawReport(kind="graded")
-    obligations = _obligations("graded", max_vertices)
-    tables = tables_by_op(o, ("la", "ra", "lt", "rt"))
-    laws = _MODE_LAWS["graded"]
-    failing = first_violation(tuple(ob.law for ob in obligations), tables, o.size)
-    if not failing:
-        count = o.size * sum(trees.tree_count(n, x_size, o.size, "single")
-                             for n in range(1, max_vertices + 1))
-        report.details.update(instances=len(laws) * count ** 3, max_vertices=max_vertices)
-        return report
     elements, uses = _graded_scan(max_vertices, x_size, o.size)
+    laws = _MODE_LAWS["graded"]
 
     @lru_cache(maxsize=None)
     def bad(i):  # the points that violate obligation i
@@ -426,7 +432,7 @@ def _check_graded(o: OmegaStructure, x_size: int, max_vertices: int,
                 if first_witness_only:
                     report.details["instances"] = len(laws) * count
                     return report
-    report.details.update(instances=len(laws) * len(elements) ** 3, max_vertices=max_vertices)
+    report.details.update(instances=instances, max_vertices=max_vertices)
     return report
 
 
@@ -443,6 +449,10 @@ def check_axioms(mode: str, o: OmegaStructure, x_size: int = 1,
     triangle-indexed products and arrow-composed colors.  The structure
     only needs the tables the mode reads; it may well fail its own laws,
     which is what the report then exhibits.
+
+    One compiled call over all obligations decides; only a failing structure
+    is walked (``graded``: scanned) for its report.  Building the obligations
+    or a failing scan past ``LAW_BUDGET`` law runs raises ``ResourceBoundError``.
     """
     if not isinstance(o, OmegaStructure):
         raise PreconditionError("an OmegaStructure is required")
@@ -450,9 +460,17 @@ def check_axioms(mode: str, o: OmegaStructure, x_size: int = 1,
         raise PreconditionError(f"mode {mode!r} requires triangle tables")
     if mode not in _MODE_LAWS:
         raise ValueError(f"unknown mode {mode!r}")
+    if max_vertices < 1:
+        raise ValueError("max_vertices must be at least 1")
+    obligations = _obligations(mode, max_vertices)
+    tables = tables_by_op(o, ("la", "ra", "lt", "rt") if o.has_triangles else ("la", "ra"))
+    if first_violation(tuple(ob.law for ob in obligations), tables, o.size) is None:
+        counts = ({"instances": _graded_instances(max_vertices, x_size, o.size)}
+                  if mode == "graded" else {"obligations": len(obligations)})
+        return LawReport(kind=mode, details=counts | {"max_vertices": max_vertices})
     if mode == "graded":
-        return _check_graded(o, x_size, max_vertices, first_witness_only)
-    return _check_factored(mode, o, max_vertices, first_witness_only)
+        return _graded_report(o, x_size, max_vertices, obligations, tables, first_witness_only)
+    return _factored_report(mode, o, max_vertices, obligations, tables, first_witness_only)
 
 
 # ---------------------------------------------------------------------------
@@ -463,7 +481,7 @@ class FreeAlgebraTarget:
     """The tree algebra itself as a target of the universal morphism."""
 
     def __init__(self, e: OmegaStructure):
-        _require_edus(e)
+        _require_kind(e, "edus")
         self.structure = e
 
     def prec(self, x, omega, y):

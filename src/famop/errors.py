@@ -1,4 +1,8 @@
-"""Exception types shared across the package."""
+"""Exception types and the instance budget shared across the package."""
+
+# The instances an exhaustive check may run; an estimate over it raises
+# ResourceBoundError before the check starts.
+LAW_BUDGET = 500_000
 
 
 class FamopError(Exception):

@@ -13,11 +13,9 @@ import itertools
 from dataclasses import dataclass
 
 from . import presentations
-from .errors import ResourceBoundError
+from .errors import LAW_BUDGET, ResourceBoundError
 from .omega import TwistedMonomial, twisted_product
 from .report import LawReport
-
-OPERAD_LAW_BUDGET = 500_000  # associativity and unit instances per check_operad_laws
 
 
 def _require_disjoint(a: frozenset, b: frozenset):
@@ -359,7 +357,7 @@ def check_operad_laws(which: str, max_size: int = 3) -> LawReport:
     carriers one label larger, since the pattern with both positions off
     the value needs four labels; the report counts the distinct
     sequential and parallel case patterns observed.  Over
-    ``OPERAD_LAW_BUDGET`` instances, counted first, raise ``ResourceBoundError``.
+    ``LAW_BUDGET`` instances, counted first, raise ``ResourceBoundError``.
     """
     if which not in _OPERADS:
         raise ValueError(f"unknown operad {which!r}")
@@ -391,8 +389,8 @@ def check_operad_laws(which: str, max_size: int = 3) -> LawReport:
         seq = sum(n[p] * p * n[q] * q * n[r] for p, q, r in size_triples(max_size, cap))
         par = sum(n[p] * p * (p - 1) * n[q] * n[r] for p, q, r in size_triples(top, cap))
         units = sum(n[s] * (s + 1) for s in range(1, min(cap, max_size) + 1))
-        if seq + par + units > OPERAD_LAW_BUDGET:
-            raise ResourceBoundError(f"{which} at max {max_size}: over {OPERAD_LAW_BUDGET} instances")
+        if seq + par + units > LAW_BUDGET:
+            raise ResourceBoundError(f"{which} at max {max_size}: over {LAW_BUDGET} instances")
 
     # Sequential associativity: (x o_a y) o_b z == x o_a (y o_b z), b in y.
     for sa, sb, sc in size_triples(max_size):
@@ -509,8 +507,10 @@ def psi_phi_roundtrip(max_arity: int = 4) -> LawReport:
     """Check that the twist-law quotient of leaf-labeled binary terms and
     the pairs operad invert each other up to the arity bound, and that the
     class counts equal n(n-1) for n >= 2."""
+    if max_arity < 1:
+        raise ValueError("max_arity must be at least 1")
     if max_arity > 5:
-        raise ValueError("max_arity must be <= 5")
+        raise ResourceBoundError("max_arity must be <= 5")
     p = presentations.preset("twist")
     report = LawReport(kind="twist_iso")
     counts = []

@@ -193,22 +193,28 @@ def _subst(pattern: Term, binding: dict) -> Term:
     return (pattern[0], _subst(pattern[1], binding), _subst(pattern[2], binding))
 
 
-def _rewrites(t: Term, relations) -> list[Term]:
+def _swaps(relations) -> list:
+    """Each relation member with the members of its class that share its
+    leaf set: only those swaps can join two terms of one arity."""
+    return [(member, [other for other in cls if other is not member
+                      and set(term_leaves(other)) == set(term_leaves(member))])
+            for cls in relations for member in cls]
+
+
+def _rewrites(t: Term, swaps) -> list[Term]:
     """All one-step rewrites of ``t`` by any relation member swap, at any
     subterm position."""
     out = []
     if isinstance(t, int):
         return out
-    for cls in relations:
-        for member in cls:
-            binding: dict = {}
-            if _match(member, t, binding):
-                for other in cls:
-                    if other is not member:
-                        out.append(_subst(other, binding))
-    for rewritten in _rewrites(t[1], relations):
+    for member, others in swaps:
+        binding: dict = {}
+        if _match(member, t, binding):
+            for other in others:
+                out.append(_subst(other, binding))
+    for rewritten in _rewrites(t[1], swaps):
         out.append((t[0], rewritten, t[2]))
-    for rewritten in _rewrites(t[2], relations):
+    for rewritten in _rewrites(t[2], swaps):
         out.append((t[0], t[1], rewritten))
     return out
 
@@ -230,9 +236,10 @@ def partition_terms(terms, relations) -> list[list[Term]]:
         if ri != rj:
             parent[rj] = ri
 
+    swaps = _swaps(relations)
     for t in terms:
         i = index[t]
-        for r in _rewrites(t, relations):
+        for r in _rewrites(t, swaps):
             j = index.get(r)
             if j is None:
                 raise AssertionError(f"rewrite left the arity slice: {serialize_term(r)}")

@@ -129,6 +129,14 @@ def test_operad_iso(capsys):
     assert json.loads(out)["passed"] is True
 
 
+@pytest.mark.parametrize("max_arity,expected", [("0", 2), ("-1", 2), ("6", 3)])
+def test_operad_iso_bounds(capsys, max_arity, expected):
+    code, out, err = run(capsys, ["operad", "iso", "--max-arity", max_arity])
+    assert code == expected
+    assert len(err.strip().splitlines()) == 1
+    assert (out == "") if expected == 2 else ("error" in json.loads(out))
+
+
 def test_omega_check_pass_and_fail(capsys, proj2_file, tmp_path):
     code, out, _ = run(capsys, ["omega", "check", "--kind", "diassociative",
                                 "--input", proj2_file])
@@ -254,6 +262,52 @@ def test_trees_product_on_a_magma_file_is_a_usage_error(capsys, magma_file, mode
     assert code == 2
     assert out == ""
     assert len(err.strip().splitlines()) == 1
+
+
+@pytest.mark.parametrize("mode,param,left,right", [
+    ("prec2", "0,5", "(x . . _ _)", "(y . . _ _)"),
+    ("prec2", "-1,0", "(x . . _ _)", "(y . . _ _)"),
+    ("prec1", "-1", "(x . . _ _)", "(y . . _ _)"),
+    ("prec1", "5", "(x . . _ _)", "(y . . _ _)"),
+    ("prec2", "0,1", "(x . 0 _ (z . . _ _))", "(y . . _ _)"),
+    ("succ1", "1", "(x . 0:1 _ (z . . _ _))", "(y . . _ _)"),
+    ("succ2", "0,1", "(x . . _ _)", "(y 9:0 . (z . . _ _) _)"),
+    ("succ1", "1", "(x . . _ _)", "(y 9 . (z . . _ _) _)"),
+])
+def test_trees_product_out_of_range_or_wrong_flavor_is_a_usage_error(
+        capsys, proj2_file, edus_file, mode, param, left, right):
+    structure = proj2_file if mode.endswith("2") else edus_file
+    code, out, err = run(capsys, ["trees", "product", "--mode", mode, "--omega", structure,
+                                  f"--param={param}", left, right])
+    assert code == 2
+    assert out == ""
+    assert len(err.strip().splitlines()) == 1
+    assert "Traceback" not in err
+
+
+@pytest.mark.parametrize("mode,max_vertices,code", [
+    ("two_param", "5", 3), ("one_param", "5", 3), ("graded", "5", 3),
+    ("two_param", "0", 2), ("one_param", "-1", 2), ("graded", "0", 2),
+])
+def test_family_check_bounds_exit_at_once(capsys, edus_file, mode, max_vertices, code):
+    start = time.perf_counter()
+    got, out, err = run(capsys, ["family", "check", "--mode", mode, "--omega", edus_file,
+                                 "--max-vertices", max_vertices])
+    assert time.perf_counter() - start < 1
+    assert got == code
+    assert len(err.strip().splitlines()) == 1
+    assert (out == "") if code == 2 else ("over budget" in json.loads(out)["error"])
+
+
+def test_family_check_failing_graded_scan_over_the_budget_exits_3(capsys, tmp_path):
+    path = tmp_path / "non_edus.json"
+    path.write_text(json.dumps(omega.OmegaStructure(
+        2, [[0, 0], [0, 0]], [[0, 0], [0, 0]], [[0, 1], [1, 0]], [[0, 0], [0, 0]]).to_json()))
+    code, out, err = run(capsys, ["family", "check", "--mode", "graded", "--omega", str(path),
+                                  "--max-vertices", "4"])
+    assert code == 3
+    assert "graded scan" in json.loads(out)["error"]
+    assert err.startswith("resource bound:")
 
 
 def test_family_check(capsys, proj2_file, edus_file, tmp_path):

@@ -79,6 +79,24 @@ def test_two_param_collapses_to_plain_grafting_for_one_color():
     assert serialize(c) == "(z 0:0 . (x . 0:0 _ (y . . _ _)) _)"
 
 
+@pytest.mark.parametrize("product,left,right,params", [
+    (prec2, "(x . . _ _)", "(y . . _ _)", (0, 5)),
+    (prec2, "(x . . _ _)", "(y . . _ _)", (-1, 0)),
+    (succ2, "(x . . _ _)", "(y . . _ _)", (0, True)),
+    (prec1, "(x . . _ _)", "(y . . _ _)", (-1,)),
+    (succ1, "(x . . _ _)", "(y . . _ _)", (5,)),
+    (prec1, "(x . . _ _)", "(y . . _ _)", (0.0,)),
+    (prec2, "(x . 0 _ (z . . _ _))", "(y . . _ _)", (0, 1)),
+    (succ1, "(x . 0:1 _ (z . . _ _))", "(y . . _ _)", (1,)),
+    (prec2, "(x . . _ _)", "(y . 9:0 _ (z . . _ _))", (0, 1)),
+    (succ1, "(x . . _ _)", "(y 9 . (z . . _ _) _)", (1,)),
+])
+def test_products_reject_out_of_range_and_wrong_flavor(product, left, right, params):
+    structure = PROJ2 if product in (prec2, succ2) else EDUS2[0]
+    with pytest.raises(PreconditionError):
+        product(parse(left), parse(right), *params, structure)
+
+
 def test_products_reject_leaves_and_bad_structures():
     with pytest.raises(PreconditionError):
         prec2(trees.Leaf, y_(), 0, 0, PROJ2)
@@ -168,6 +186,60 @@ def test_factored_checker_agrees_with_direct_scan_one_param():
         direct = _direct_one_param(s)
         factored = check_axioms("one_param", s, max_vertices=2).passed
         assert direct == factored
+
+
+def _per_obligation(mode, o, max_vertices, first_witness_only):
+    """The factored check with one compiled call per obligation, each
+    violated obligation reported at its first point, in obligation order."""
+    report = LawReport(kind=mode)
+    obligations = duplicial._obligations(mode, max_vertices)
+    report.details["obligations"] = len(obligations)
+    tables = omega.tables_by_op(o, ("la", "ra", "lt", "rt") if mode == "one_param"
+                                else ("la", "ra"))
+    for ob in obligations:
+        found = omega.first_violation((ob.law,), tables, o.size)
+        if found is not None:
+            env = dict(zip(ob.var_names, found[1]))
+            report.add(ob.law[0], duplicial._concrete_witness(mode, ob, env, o))
+            if first_witness_only:
+                return report
+    report.details["max_vertices"] = max_vertices
+    return report
+
+
+@pytest.mark.slow
+def test_one_verdict_call_reports_like_the_per_obligation_walk():
+    cells = [[list(c[:2]), list(c[2:])] for c in itertools.product(range(2), repeat=4)]
+    runs = [("one_param", OmegaStructure(2, *q), 2)
+            for q in itertools.product(cells, repeat=4)]
+    runs += [("two_param", OmegaStructure(2, l, r), k)
+             for l in cells for r in cells for k in (2, 3)]
+    failed = 0
+    for mode, s, k in runs:
+        for first in (False, True):
+            got = check_axioms(mode, s, max_vertices=k, first_witness_only=first).to_json()
+            assert got == _per_obligation(mode, s, k, first).to_json()
+            failed += not got["passed"]
+    assert len(runs) == 65536 + 512 and failed == 2 * (65536 - 576 + 2 * (256 - 27))
+
+
+def test_a_passing_structure_makes_one_compiled_call(monkeypatch):
+    calls = []
+
+    def counting(*args, **kwargs):
+        calls.append(args[0])
+        return omega.first_violation(*args, **kwargs)
+
+    monkeypatch.setattr(duplicial, "first_violation", counting)
+    for mode, s in (("two_param", PROJ2), ("one_param", EDUS2[0]), ("graded", EDUS2[0])):
+        for first in (False, True):
+            calls.clear()
+            assert check_axioms(mode, s, max_vertices=3, first_witness_only=first).passed
+            assert len(calls) == 1
+            assert len(calls[0]) == len(duplicial._obligations(mode, 3))
+    calls.clear()
+    assert not check_axioms("one_param", NON_EDUS, max_vertices=3).passed
+    assert len(calls) == 1 + len(duplicial._obligations("one_param", 3))
 
 
 # --- the tree laws from the duplicial relation against literal ones -----------
@@ -373,6 +445,20 @@ def test_check_axioms_mode_validation():
         check_axioms("one_param", PROJ2)
     with pytest.raises(ValueError):
         check_axioms("nonsense", EDUS2[0])
+    for max_vertices in (0, -1):
+        with pytest.raises(ValueError):
+            check_axioms("two_param", PROJ2, max_vertices=max_vertices)
+
+
+@pytest.mark.parametrize("mode,structure,x_size,max_vertices", [
+    ("two_param", PROJ2, 1, 5), ("one_param", EDUS2[0], 1, 5), ("graded", EDUS2[0], 1, 5),
+    ("graded", NON_EDUS, 2, 3),
+])
+def test_check_axioms_over_the_budget_raises(mode, structure, x_size, max_vertices):
+    # Building the obligations runs 3 x 64³ laws at 5 vertices; a failing
+    # graded structure of size 2 at 3 vertices and 2 decorations scans 3 x 356³.
+    with pytest.raises(ResourceBoundError):
+        check_axioms(mode, structure, x_size=x_size, max_vertices=max_vertices)
 
 
 # --- the universal morphism --------------------------------------------------

@@ -276,6 +276,14 @@ def test_psi_phi_roundtrip():
     assert report.details["class_counts"] == [1, 2, 6, 12]
 
 
+def test_psi_phi_roundtrip_bounds():
+    for arity in (0, -1):
+        with pytest.raises(ValueError):
+            psi_phi_roundtrip(arity)
+    with pytest.raises(ResourceBoundError):
+        psi_phi_roundtrip(6)
+
+
 def test_psi_phi_arity_2_generators():
     p = presentations.preset("twist")
     classes = presentations.quotient_classes(p, 2)

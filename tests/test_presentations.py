@@ -315,8 +315,13 @@ def test_malformed_presentation_json_raises_precondition_error(data):
 
 
 def test_non_homogeneous_relations_warn():
-    with pytest.warns(UserWarning):
-        Presentation(["f"], "planar", [[("f", 1, 2), ("f", ("f", 1, 2), 3)]])
+    plain = Presentation(["f"], "planar", [])
+    for cls in ([("f", 1, 2), ("f", ("f", 1, 2), 3)], [("f", ("f", 1, 2), 3), ("f", 1, 2)]):
+        with pytest.warns(UserWarning):
+            p = Presentation(["f"], "planar", [cls])
+        # Members on different leaf sets never join two terms of one arity.
+        assert [quotient_classes(p, n) for n in (1, 2, 3)] == \
+            [quotient_classes(plain, n) for n in (1, 2, 3)]
 
 
 def test_unknown_preset():
