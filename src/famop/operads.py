@@ -10,6 +10,7 @@ the second carrier in place of the position.
 from __future__ import annotations
 
 import itertools
+import math
 from dataclasses import dataclass
 
 from . import presentations
@@ -317,9 +318,30 @@ def binary_product(which: str, x, y):
 # Exhaustive law checks
 
 
-def _canonical_carriers(sizes):
-    names = "abc"
-    return [frozenset(f"{names[i]}{j}" for j in range(sz)) for i, sz in enumerate(sizes)]
+def _element_count(which: str, n: int) -> int:
+    """The number of elements on an ``n``-label carrier, in closed form;
+    a corolla is a root and a set partition of the rest, n Bell(n - 1)."""
+    if which == "pairs":
+        return 1 if n == 1 else n * (n - 1)
+    if which == "corollas":
+        row = [1]  # a row of the Bell triangle
+        for _ in range(n - 1):
+            row = list(itertools.accumulate(row, initial=row[-1]))
+        return n * row[0]
+    return n if which == "perm" else math.factorial(n)
+
+
+def _carriers(which: str, top: int):
+    """The elements and the sorted labels of the carriers ``a0..``,
+    ``b0..`` and ``c0..`` of every size up to ``top``, keyed by (0, 1 or
+    2, size)."""
+    elements, positions = {}, {}
+    for size in range(1, top + 1):
+        for i, name in enumerate("abc"):
+            carrier = frozenset(f"{name}{j}" for j in range(size))
+            elements[i, size] = _OPERADS[which][0](carrier)
+            positions[i, size] = sorted(carrier)
+    return elements, positions
 
 
 def _pair_case(pos, value) -> int:
@@ -378,19 +400,15 @@ def check_operad_laws(which: str, max_size: int = 3) -> LawReport:
                     if per_carrier or sa + sb + sc <= max_size:
                         yield sa, sb, sc
 
-    # The sizes built so far bound the instances from below: an oversized check stops early.
-    elements, positions = {}, {}
+    # The sizes counted so far bound the instances from below: an oversized check stops early.
     for cap in range(1, top + 1):
-        for i, name in enumerate("abc"):
-            carrier = frozenset(f"{name}{j}" for j in range(cap))
-            elements[i, cap] = elements_of(carrier)
-            positions[i, cap] = sorted(carrier)
-        n = {s: len(elements[0, s]) for s in range(1, cap + 1)}
+        n = {s: _element_count(which, s) for s in range(1, cap + 1)}
         seq = sum(n[p] * p * n[q] * q * n[r] for p, q, r in size_triples(max_size, cap))
         par = sum(n[p] * p * (p - 1) * n[q] * n[r] for p, q, r in size_triples(top, cap))
         units = sum(n[s] * (s + 1) for s in range(1, min(cap, max_size) + 1))
         if seq + par + units > LAW_BUDGET:
             raise ResourceBoundError(f"{which} at max {max_size}: over {LAW_BUDGET} instances")
+    elements, positions = _carriers(which, top)
 
     # Sequential associativity: (x o_a y) o_b z == x o_a (y o_b z), b in y.
     for sa, sb, sc in size_triples(max_size):
@@ -557,31 +575,40 @@ def _to_perm(which: str, x) -> PermPoint:
         return PermPoint(x.carrier, value)
     if which == "corollas":
         return PermPoint(x.carrier, x.root)
-    if which == "orders":
-        return PermPoint(x.carrier, x.sequence[-1])
-    raise ValueError(f"no perm map for {which!r}")
+    return PermPoint(x.carrier, x.sequence[-1])
 
 
 def perm_surjection(which: str, max_size: int = 3) -> LawReport:
     """Verify that the candidate map to perm points commutes with every
-    partial composition up to the bound and is surjective."""
-    elements_of, compose, _ = _OPERADS[which]
+    partial composition up to the bound and is surjective.  Over
+    ``LAW_BUDGET`` instances, counted first, raise ``ResourceBoundError``."""
+    if which not in ("pairs", "corollas", "orders"):
+        raise ValueError(f"no perm map for {which!r}")
+    if max_size < 1:
+        raise ValueError("max_size must be at least 1")
+    # Each (x, a, y) is one instance: (sum of n_s * s) * (sum of n_s) in all.
+    weighted = total = 0
+    for s in range(1, max_size + 1):
+        n = _element_count(which, s)
+        weighted, total = weighted + n * s, total + n
+        if weighted * total > LAW_BUDGET:
+            raise ResourceBoundError(f"{which} at max {max_size}: over {LAW_BUDGET} instances")
+    compose = _OPERADS[which][1]
+    elements, positions = _carriers(which, max_size)
     report = LawReport(kind=f"{which}_to_perm")
     instances = 0
     for sa in range(1, max_size + 1):
         for sb in range(1, max_size + 1):
-            ca, cb = _canonical_carriers((sa, sb))[:2]
-            for x in elements_of(ca):
-                for a in sorted(ca, key=repr):
-                    for y in elements_of(cb):
+            for x in elements[0, sa]:
+                for a in positions[0, sa]:
+                    for y in elements[1, sb]:
                         instances += 1
                         lhs = _to_perm(which, compose(x, a, y))
                         rhs = perm_compose(_to_perm(which, x), a, _to_perm(which, y))
                         if lhs != rhs:
                             report.add("morphism", (repr(x), a, repr(y)))
-        (ca,) = _canonical_carriers((sa,))
-        image = {_to_perm(which, x) for x in elements_of(ca)}
-        if image != set(perm_elements(ca)):
+        image = {_to_perm(which, x) for x in elements[0, sa]}
+        if image != set(perm_elements(positions[0, sa])):
             report.add("surjectivity", (sa,))
     report.details["instances"] = instances
     return report

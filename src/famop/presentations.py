@@ -16,11 +16,10 @@ import itertools
 import warnings
 from dataclasses import dataclass, field
 
-from .errors import (MixingConsistencyError, ParseError, PreconditionError,
-                     ResourceBoundError)
+from .errors import MixingConsistencyError, PreconditionError, ResourceBoundError
 from .omega import (RELATIONS, _freeze_table, _json_fields, eval_term,
                     first_violation, monomials, tables_by_op)
-from .trees import tokenize
+from .trees import Bracketed
 
 Term = object  # int leaf label | (gen, Term, Term)
 
@@ -44,40 +43,19 @@ def serialize_term(t: Term) -> str:
 
 
 def parse_term(text: str) -> Term:
-    tokens = tokenize(text)
-    pos = 0
+    """Invert ``serialize_term``; raises ParseError with a position."""
+    src = Bracketed(text)
 
-    def rec() -> Term:
-        nonlocal pos
-        if pos >= len(tokens):
-            raise ParseError("unexpected end of term", len(text))
-        tok, at = tokens[pos]
-        if tok == "(":
-            pos += 1
-            if pos >= len(tokens):
-                raise ParseError("missing generator", len(text))
-            gen, gat = tokens[pos]
-            if gen in "()":
-                raise ParseError(f"bad generator {gen!r}", gat)
-            pos += 1
-            left = rec()
-            right = rec()
-            if pos >= len(tokens) or tokens[pos][0] != ")":
-                raise ParseError("expected ')'", tokens[pos][1] if pos < len(tokens) else len(text))
-            pos += 1
-            return (gen, left, right)
-        if tok == ")":
-            raise ParseError("unexpected ')'", at)
-        pos += 1
-        try:
-            return int(tok)
-        except ValueError:
-            raise ParseError(f"bad leaf label {tok!r}", at) from None
+    def term(part) -> Term:
+        if type(part) is int:
+            try:
+                return int(src.tokens[part])
+            except ValueError:
+                raise src.error(part, f"bad leaf label {src.tokens[part]!r}") from None
+        gen, left, right = src.fields(part, 3)
+        return (src.word(gen, "generator"), term(left), term(right))
 
-    out = rec()
-    if pos != len(tokens):
-        raise ParseError(f"trailing input {tokens[pos][0]!r}", tokens[pos][1])
-    return out
+    return term(src.item)
 
 
 @dataclass
@@ -92,6 +70,12 @@ class Presentation:
         if self.mode not in ("planar", "labeled"):
             raise ValueError("mode must be 'planar' or 'labeled'")
         for cls in self.relations:
+            for t in cls:
+                leaves = term_leaves(t)
+                planar_order = self.mode == "planar" and leaves != sorted(leaves)
+                if len(set(leaves)) < len(leaves) or planar_order:
+                    raise PreconditionError(f"relation member {serialize_term(t)} repeats a leaf "
+                                            "label or, in planar mode, breaks left-to-right order")
             arities = {term_arity(t) for t in cls}
             if len(arities) > 1:
                 warnings.warn("non-homogeneous relation class: the fixed-arity "
@@ -187,12 +171,6 @@ def _match(pattern: Term, t: Term, binding: dict) -> bool:
     return _match(pattern[1], t[1], binding) and _match(pattern[2], t[2], binding)
 
 
-def _subst(pattern: Term, binding: dict) -> Term:
-    if isinstance(pattern, int):
-        return binding[pattern]
-    return (pattern[0], _subst(pattern[1], binding), _subst(pattern[2], binding))
-
-
 def _swaps(relations) -> list:
     """Each relation member with the members of its class that share its
     leaf set: only those swaps can join two terms of one arity."""
@@ -211,7 +189,7 @@ def _rewrites(t: Term, swaps) -> list[Term]:
         binding: dict = {}
         if _match(member, t, binding):
             for other in others:
-                out.append(_subst(other, binding))
+                out.append(_relabel(other, binding))
     for rewritten in _rewrites(t[1], swaps):
         out.append((t[0], rewritten, t[2]))
     for rewritten in _rewrites(t[2], swaps):

@@ -7,11 +7,14 @@ single value, or a pair of values; all non-sentinel types in one tree
 share the same flavor.
 
 Textual grammar: leaf = ``_``; node = ``(dec LT RT LEFT RIGHT)``;
-edge types: ``.`` sentinel, ``3`` single, ``1:0`` pair.
+edge types: ``.`` sentinel, ``3`` single, ``1:0`` pair.  ``Bracketed`` reads
+this bracket syntax for both the trees here and the terms of
+``presentations``.
 """
 from __future__ import annotations
 
 import math
+import re
 from dataclasses import dataclass
 
 from .errors import ParseError, ResourceBoundError
@@ -172,86 +175,95 @@ def serialize(t: Tree) -> str:
             f"{serialize(t.left)} {serialize(t.right)})")
 
 
-def tokenize(text: str) -> list[tuple[str, int]]:
-    """Split on whitespace and parentheses; each token with its position."""
-    tokens = []
-    i = 0
-    while i < len(text):
-        ch = text[i]
-        if ch.isspace():
-            i += 1
-            continue
-        if ch in "()":
-            tokens.append((ch, i))
-            i += 1
-            continue
-        j = i
-        while j < len(text) and not text[j].isspace() and text[j] not in "()":
-            j += 1
-        tokens.append((text[i:j], i))
-        i = j
-    return tokens
+# Deepest bracket nesting the reader accepts.  The codecs, the products and
+# tree equality recurse one to three frames per level, so this stays well
+# below the interpreter's default limit of 1000 frames.
+MAX_DEPTH = 200
+
+_TOKEN = re.compile(r"[()]|[^\s()]+")
 
 
-def _parse_type(token: str, pos: int):
+class Bracketed:
+    """``text`` read as one bracket item: the front end of the tree and
+    term grammars.  ``tokens`` are the brackets and words of the text.  An
+    item is a token index, or a group: the list of the parts of one
+    ``( ... )``, both bracket indices included.  One regex pass and an
+    explicit stack build it; positions are worked out only for an error.
+    """
+
+    def __init__(self, text: str):
+        self.text, self.tokens = text, _TOKEN.findall(text)
+        stack = [[]]  # the top level, then the groups still open
+        for i, tok in enumerate(self.tokens):
+            if tok == "(":
+                if len(stack) > MAX_DEPTH:
+                    raise self.error(i, f"nesting deeper than {MAX_DEPTH}")
+                stack.append([i])
+            elif tok != ")":
+                stack[-1].append(i)
+            elif len(stack) > 1:
+                stack[-1].append(i)
+                stack[-2].append(stack.pop())
+            else:
+                raise self.error(i, "unexpected ')'")
+        if len(stack) > 1 or not stack[0]:
+            raise self.error(len(self.tokens), "unexpected end of input")
+        if len(stack[0]) > 1:
+            raise self.error(stack[0][1], "trailing input")
+        self.item = stack[0][0]
+
+    def error(self, part, message: str) -> ParseError:
+        """A ParseError at the first token of ``part``."""
+        starts = [m.start() for m in _TOKEN.finditer(self.text)] + [len(self.text)]
+        return ParseError(message, starts[part if type(part) is int else part[0]])
+
+    def word(self, part, what: str) -> str:
+        """The token of ``part``, which must not be a group."""
+        if type(part) is not int:
+            raise self.error(part, f"bad {what} '('")
+        return self.tokens[part]
+
+    def fields(self, group, n: int) -> list:
+        """The ``n`` parts between the brackets of ``group``."""
+        if len(group) != n + 2:
+            raise self.error(group[min(len(group) - 1, n + 1)], f"expected {n} fields and ')'")
+        return group[1:-1]
+
+
+def _parse_type(src: Bracketed, part):
+    token = src.word(part, "edge type")
     if token == ".":
         return None
-    if ":" in token:
-        a, _, b = token.partition(":")
-        try:
-            return (int(a), int(b))
-        except ValueError:
-            raise ParseError(f"bad pair type {token!r}", pos) from None
     try:
+        if ":" in token:
+            a, b = token.split(":")
+            return (int(a), int(b))
         return int(token)
     except ValueError:
-        raise ParseError(f"bad edge type {token!r}", pos) from None
+        raise src.error(part, f"bad edge type {token!r}") from None
 
 
 def parse(text: str) -> Tree:
     """Parse the textual grammar; raises ParseError with a position."""
-    tokens = tokenize(text)
-    k = 0
+    src = Bracketed(text)
 
-    def need(what: str):
-        if k >= len(tokens):
-            raise ParseError(f"expected {what}, got end of input", len(text))
-        return tokens[k]
-
-    def node() -> Tree:
-        nonlocal k
-        tok, pos = need("a tree")
-        if tok == "_":
-            k += 1
-            return Leaf
-        if tok != "(":
-            raise ParseError(f"expected '(' or '_', got {tok!r}", pos)
-        k += 1
-        dec, dpos = need("a decoration")
-        if dec in "()._":
-            raise ParseError(f"bad decoration {dec!r}", dpos)
-        k += 1
-        lt_tok, lt_pos = need("a left edge type")
-        k += 1
-        rt_tok, rt_pos = need("a right edge type")
-        k += 1
-        left = node()
-        right = node()
-        close, cpos = need("')'")
-        if close != ")":
-            raise ParseError(f"expected ')', got {close!r}", cpos)
-        k += 1
-        lt = _parse_type(lt_tok, lt_pos)
-        rt = _parse_type(rt_tok, rt_pos)
+    def node(part) -> Tree:
+        if type(part) is int:
+            if src.tokens[part] == "_":
+                return Leaf
+            raise src.error(part, f"expected '(' or '_', got {src.tokens[part]!r}")
+        dec, lt, rt, left, right = src.fields(part, 5)
+        dec_text = src.word(dec, "decoration")
+        if dec_text in "._":
+            raise src.error(dec, f"bad decoration {dec_text!r}")
+        left, right = node(left), node(right)
+        lt, rt = _parse_type(src, lt), _parse_type(src, rt)
         try:
-            return Node(dec, lt, left, rt, right)
+            return Node(dec_text, lt, left, rt, right)
         except ValueError as exc:
-            raise ParseError(str(exc), pos) from None
+            raise src.error(part, str(exc)) from None
 
-    result = node()
-    if k != len(tokens):
-        raise ParseError(f"trailing input {tokens[k][0]!r}", tokens[k][1])
-    return result
+    return node(src.item)
 
 
 def to_json(t: Tree):

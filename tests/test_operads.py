@@ -1,5 +1,6 @@
 """Set operads: compositions, laws, the pairs/terms roundtrip, surjections."""
 import itertools
+import time
 
 import pytest
 
@@ -144,6 +145,24 @@ def test_operad_law_bound():
     for which, max_size in (("pairs", 5), ("corollas", 10), ("orders", 4), ("perm", 10**9)):
         with pytest.raises(ResourceBoundError):
             check_operad_laws(which, max_size)
+
+
+def test_element_counts_have_closed_forms():
+    for which, (elements_of, _, _) in operads._OPERADS.items():
+        for n in range(1, 8):
+            assert operads._element_count(which, n) == len(elements_of(frozenset(range(n))))
+
+
+def test_operad_law_bound_is_checked_before_any_carrier_is_built(monkeypatch):
+    def unbuildable(carrier):
+        raise AssertionError("a carrier was built")
+
+    _, compose, relabel = operads._OPERADS["corollas"]
+    monkeypatch.setitem(operads._OPERADS, "corollas", (unbuildable, compose, relabel))
+    start = time.perf_counter()
+    with pytest.raises(ResourceBoundError):
+        check_operad_laws("corollas", 9)
+    assert time.perf_counter() - start < 0.1
 
 
 def _literal_associativity(which, max_size, compose):
@@ -298,6 +317,17 @@ def test_perm_surjections():
         report = perm_surjection(which, 3)
         assert report.passed, report.witnesses[:3]
     assert perm_surjection("corollas", 4).passed
+    assert [perm_surjection(*args).details["instances"]
+            for args in (("pairs", 3), ("corollas", 4), ("orders", 3))] == [207, 2987, 207]
+
+
+@pytest.mark.parametrize("which,max_size,error", [
+    ("nonsense", 3, ValueError), ("perm", 3, ValueError), ("pairs", 0, ValueError),
+    ("corollas", 7, ResourceBoundError), ("orders", 10**9, ResourceBoundError),
+])
+def test_perm_surjection_refuses_bad_arguments(which, max_size, error):
+    with pytest.raises(error):
+        perm_surjection(which, max_size)
 
 
 def test_order_composition_inserts_blocks():

@@ -3,6 +3,8 @@ import itertools
 import random
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from famop import omega
 from famop import presentations as pr
@@ -79,6 +81,19 @@ def test_term_codec():
         parse_term("(prec 1")
     with pytest.raises(ParseError):
         parse_term("(prec one 2)")
+    with pytest.raises(ParseError):
+        parse_term("(f 1 " * 1200 + "2" + ")" * 1200)
+
+
+@settings(max_examples=500, deadline=None)
+@given(st.lists(st.sampled_from(["(", ")", "_", ".", "x0", "0", "1", "1:0", "f", "junk"]),
+                max_size=24))
+def test_parse_term_round_trips_or_raises_parse_error(words):
+    try:
+        t = parse_term(" ".join(words))
+    except ParseError:
+        return
+    assert parse_term(serialize_term(t)) == t
 
 
 def test_compose_terms_renumbers():
@@ -308,10 +323,17 @@ def test_the_presentation_defines_the_parameter_structure(name, passing):
     {"generators": ["f"], "mode": "planar", "relations": ["(f 1 2)"]},
     {"generators": ["f"], "mode": "planar", "relations": [[("f", 1, 2)]]},
     {"generators": 5, "mode": "planar", "relations": []},
+    {"generators": ["f"], "mode": "planar", "relations": [["(f 1 2)", "(f 2 1)"]]},
 ])
 def test_malformed_presentation_json_raises_precondition_error(data):
     with pytest.raises(PreconditionError):
         Presentation.from_json(data)
+
+
+@pytest.mark.parametrize("mode", ["planar", "labeled"])
+def test_relation_members_repeating_a_leaf_are_refused(mode):
+    with pytest.raises(PreconditionError):
+        Presentation(["f", "g"], mode, [[("f", 1, 1), ("g", 1, 1)]])
 
 
 def test_non_homogeneous_relations_warn():

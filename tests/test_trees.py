@@ -1,10 +1,12 @@
 """Typed trees: grafting, enumeration counts, depth, codecs."""
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from famop import trees
 from famop.errors import ParseError, PreconditionError, ResourceBoundError
-from famop.trees import (Leaf, Node, depth, enumerate_trees, from_json, graft,
-                         parse, serialize, stats, to_json, vertices)
+from famop.trees import (MAX_DEPTH, Leaf, Node, depth, enumerate_trees, from_json,
+                         graft, parse, serialize, stats, to_json, vertices)
 
 
 def single(dec="x"):
@@ -106,6 +108,27 @@ def test_parse_error_positions():
         parse("(x . .")
     with pytest.raises(ParseError):
         parse("(x q . _ _)")
+
+
+def test_nesting_past_the_limit_is_a_parse_error():
+    nest = "(x . 0 _ "
+    with pytest.raises(ParseError) as exc:
+        parse(nest * 1200 + "(y . . _ _)" + ")" * 1200)
+    assert exc.value.position == len(nest) * MAX_DEPTH
+    t = parse(nest * (MAX_DEPTH - 1) + "(y . . _ _)" + ")" * (MAX_DEPTH - 1))
+    assert depth(t) == MAX_DEPTH
+    assert parse(serialize(t)) == t
+
+
+@settings(max_examples=500, deadline=None)
+@given(st.lists(st.sampled_from(["(", ")", "_", ".", "x0", "0", "1", "1:0", "f", "junk"]),
+                max_size=24))
+def test_parse_round_trips_or_raises_parse_error(words):
+    try:
+        t = parse(" ".join(words))
+    except ParseError:
+        return
+    assert parse(serialize(t)) == t
 
 
 def test_json_mirror_roundtrip():
