@@ -3,6 +3,10 @@
 Machine-readable JSON goes to stdout, a one-line human summary to
 stderr.  Exit codes: 0 all checks passed, 1 a check failed, 2 usage
 error, 3 resource bound exceeded.
+
+Only ``omega`` loads with this module, because the parser lists its law
+kinds; each handler imports the submodule it calls, so a command loads
+only what it uses.
 """
 from __future__ import annotations
 
@@ -10,7 +14,7 @@ import argparse
 import json
 import sys
 
-from . import dims, duplicial, linear, omega, operads, presentations, trees
+from . import omega
 from .errors import FamopError, ParseError, PreconditionError, ResourceBoundError
 
 
@@ -48,6 +52,7 @@ def _cmd_omega_enumerate(args) -> int:
 
 
 def _cmd_trees_product(args) -> int:
+    from . import duplicial, trees
     s = _load_structure(args.omega)
     left = trees.parse(args.left)
     right = trees.parse(args.right)
@@ -68,6 +73,7 @@ def _cmd_trees_product(args) -> int:
 
 
 def _cmd_family_check(args) -> int:
+    from . import duplicial
     s = _load_structure(args.omega)
     report = duplicial.check_axioms(args.mode, s, x_size=args.x_size,
                                     max_vertices=args.max_vertices)
@@ -80,6 +86,7 @@ _OPERAD_NAMES = {"twist": "pairs", "corolla": "corollas", "perm": "perm"}
 
 
 def _cmd_operad_check(args) -> int:
+    from . import operads
     report = operads.check_operad_laws(_OPERAD_NAMES[args.which], args.max)
     _emit(report.to_json(),
           f"operad check {args.which}: {'passed' if report.passed else 'FAILED'}")
@@ -87,6 +94,7 @@ def _cmd_operad_check(args) -> int:
 
 
 def _cmd_operad_iso(args) -> int:
+    from . import operads
     report = operads.psi_phi_roundtrip(args.max_arity)
     _emit(report.to_json(),
           f"operad iso up to arity {args.max_arity}: "
@@ -95,6 +103,7 @@ def _cmd_operad_iso(args) -> int:
 
 
 def _cmd_present_quotient(args) -> int:
+    from . import presentations
     p = presentations.preset(args.preset)
     classes = presentations.quotient_classes(p, args.arity)
     payload = {"preset": args.preset, "arity": args.arity,
@@ -107,6 +116,7 @@ def _cmd_present_quotient(args) -> int:
 
 
 def _cmd_present_mix(args) -> int:
+    from . import presentations
     p = presentations.preset(args.preset)
     s = _load_structure(args.omega)
     tables = presentations.omega_algebra_from_structure(p, s)
@@ -133,6 +143,7 @@ def _cmd_present_mix(args) -> int:
 
 
 def _cmd_dims_r(args) -> int:
+    from . import dims
     series = dims.r_sequence(args.n)
     poly = series.r(args.n)
     payload = {"n": args.n,
@@ -154,6 +165,7 @@ def _cmd_dims_r(args) -> int:
 
 
 def _cmd_dims_count(args) -> int:
+    from . import dims
     value = dims.count_basis_trees(args.n, args.w)
     payload = {"n": args.n, "w": args.w, "count": str(value)}
     _emit(payload, f"dims count n={args.n} w={args.w}: {value}")

@@ -131,7 +131,9 @@ def r_sequence(order: int) -> PolySeries:
 
     all sums over indices >= 1, with exact integer polynomial arithmetic.
     """
-    if not 1 <= order <= 64:
+    if order < 1:
+        raise ValueError("order must be at least 1")
+    if order > 64:
         raise ResourceBoundError("order must be in 1..64")
     r = [ZERO, ONE]  # r[0] unused
     conv2 = [ZERO, ZERO]  # conv2[m] = sum_{i+j=m} r_i r_j

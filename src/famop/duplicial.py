@@ -462,6 +462,8 @@ def check_axioms(mode: str, o: OmegaStructure, x_size: int = 1,
         raise ValueError(f"unknown mode {mode!r}")
     if max_vertices < 1:
         raise ValueError("max_vertices must be at least 1")
+    if x_size < 1:
+        raise ValueError("x_size must be at least 1")
     obligations = _obligations(mode, max_vertices)
     tables = tables_by_op(o, ("la", "ra", "lt", "rt") if o.has_triangles else ("la", "ra"))
     if first_violation(tuple(ob.law for ob in obligations), tables, o.size) is None:

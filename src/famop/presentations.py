@@ -19,7 +19,7 @@ from dataclasses import dataclass, field
 from .errors import MixingConsistencyError, PreconditionError, ResourceBoundError
 from .omega import (RELATIONS, _freeze_table, _json_fields, eval_term,
                     first_violation, monomials, tables_by_op)
-from .trees import Bracketed
+from .trees import Bracketed, _digits
 
 Term = object  # int leaf label | (gen, Term, Term)
 
@@ -48,10 +48,9 @@ def parse_term(text: str) -> Term:
 
     def term(part) -> Term:
         if type(part) is int:
-            try:
-                return int(src.tokens[part])
-            except ValueError:
-                raise src.error(part, f"bad leaf label {src.tokens[part]!r}") from None
+            if not _digits(src.tokens[part]):
+                raise src.error(part, f"bad leaf label {src.tokens[part]!r}")
+            return int(src.tokens[part])
         gen, left, right = src.fields(part, 3)
         return (src.word(gen, "generator"), term(left), term(right))
 
@@ -379,6 +378,8 @@ def mixing_filter(p: Presentation, omega_algebra: dict, arity: int,
         raise ValueError("one input color per leaf required")
     if not all(isinstance(c, int) and 0 <= c < size for c in coloring):
         raise ValueError(f"input colors must lie in 0..{size - 1}")
+    if not (isinstance(output, int) and 0 <= output < size):
+        raise ValueError(f"the output color must lie in 0..{size - 1}")
     classes = quotient_classes(p, arity)
     _check_consistency(classes, omega_algebra, size, arity)
     env = dict(zip(range(1, arity + 1), coloring))

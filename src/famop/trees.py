@@ -230,17 +230,20 @@ class Bracketed:
         return group[1:-1]
 
 
+def _digits(text: str) -> bool:
+    """Numbers in the text grammars are ASCII digits only (``int`` alone
+    would also read ``+2``, ``1_0`` and the digits of other scripts)."""
+    return text.isascii() and text.isdigit()
+
+
 def _parse_type(src: Bracketed, part):
     token = src.word(part, "edge type")
     if token == ".":
         return None
-    try:
-        if ":" in token:
-            a, b = token.split(":")
-            return (int(a), int(b))
-        return int(token)
-    except ValueError:
-        raise src.error(part, f"bad edge type {token!r}") from None
+    numbers = token.split(":")
+    if len(numbers) > 2 or not all(map(_digits, numbers)):
+        raise src.error(part, f"bad edge type {token!r}")
+    return tuple(map(int, numbers)) if len(numbers) == 2 else int(token)
 
 
 def parse(text: str) -> Tree:

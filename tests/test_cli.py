@@ -1,10 +1,16 @@
-"""Command-line surface: outputs, exit codes, determinism."""
+"""Command-line surface: outputs, exit codes, determinism, what a command loads."""
 import json
+import os
+import subprocess
+import sys
 import time
 
 import pytest
 
+import famop
 from famop import cli, omega
+
+SUBMODULES = ("omega", "trees", "duplicial", "linear", "operads", "presentations", "dims")
 
 
 @pytest.fixture
@@ -41,12 +47,56 @@ def test_dims_r_pinned_output(capsys):
     assert payload["poly"] == "[0,0,0,-3,8]"
 
 
+def fresh_python(code: str, *argv: str) -> subprocess.CompletedProcess:
+    """Run ``code`` in a new interpreter that imports famop from this source tree."""
+    env = dict(os.environ, PYTHONPATH=os.path.dirname(os.path.dirname(famop.__file__)))
+    return subprocess.run([sys.executable, "-c", code, *argv], capture_output=True,
+                          text=True, env=env, timeout=60)
+
+
+def test_a_command_loads_only_the_modules_it_uses(capsys):
+    child = fresh_python(
+        "import sys\n"
+        "from famop.cli import main\n"
+        "code = main(sys.argv[1:])\n"
+        "print(*sorted(m for m in sys.modules if m.startswith('famop')), file=sys.stderr)\n"
+        "sys.exit(code)\n", "dims", "r", "--n", "3")
+    assert child.returncode == 0, child.stderr
+    loaded = set(child.stderr.splitlines()[-1].split())
+    assert "famop.dims" in loaded
+    assert not loaded & {"famop.linear", "famop.operads", "famop.duplicial"}
+    _, out, _ = run(capsys, ["dims", "r", "--n", "3"])
+    assert child.stdout == out
+
+
+def test_submodules_load_on_first_use():
+    child = fresh_python(
+        "import sys\n"
+        "import famop\n"
+        "print('famop.linear' in sys.modules, famop.linear.__name__ in sys.modules)\n"
+        "from famop import *\n"
+        f"print(all(sys.modules['famop.' + n] is globals()[n] for n in {SUBMODULES!r}))\n")
+    assert child.returncode == 0, child.stderr
+    assert child.stdout == "False True\nTrue\n"
+    assert set(SUBMODULES) <= set(famop.__all__)
+    with pytest.raises(AttributeError, match="nosuch"):
+        famop.nosuch
+
+
 def test_dims_r_eval_and_verify(capsys):
     code, out, _ = run(capsys, ["dims", "r", "--n", "5", "--eval", "1", "--verify"])
     assert code == 0
     payload = json.loads(out)
     assert payload["value_at"] == {"w": 1, "v": "42"}
     assert payload["identities"]["passed"] is True
+
+
+@pytest.mark.parametrize("n,code", [("0", 2), ("-3", 2), ("65", 3)])
+def test_dims_r_order_out_of_range(capsys, n, code):
+    got, out, err = run(capsys, ["dims", "r", "--n", n])
+    assert got == code
+    assert len(err.strip().splitlines()) == 1
+    assert (out == "") if code == 2 else (json.loads(out) == {"error": "order must be in 1..64"})
 
 
 def test_dims_count(capsys):
@@ -78,6 +128,16 @@ def test_present_mix_single_query(capsys, proj2_file):
     assert code == 0
     payload = json.loads(out)
     assert payload["members"] == ["(prec 1 2)"]
+
+
+@pytest.mark.parametrize("output", ["2", "5", "-1"])
+def test_present_mix_output_out_of_range_is_a_usage_error(capsys, proj2_file, output):
+    code, out, err = run(capsys, ["present", "mix", "--preset", "duplicial",
+                                  "--omega", proj2_file, "--arity", "2",
+                                  "--coloring", "0,1", f"--output={output}"])
+    assert code == 2
+    assert out == ""
+    assert "output color" in err
 
 
 def test_present_mix_on_a_magma_file_is_a_usage_error(capsys, magma_file):
@@ -297,6 +357,16 @@ def test_family_check_bounds_exit_at_once(capsys, edus_file, mode, max_vertices,
     assert got == code
     assert len(err.strip().splitlines()) == 1
     assert (out == "") if code == 2 else ("over budget" in json.loads(out)["error"])
+
+
+@pytest.mark.parametrize("mode", ["two_param", "one_param", "graded"])
+@pytest.mark.parametrize("x_size", ["0", "-1"])
+def test_family_check_x_size_below_one_is_a_usage_error(capsys, edus_file, mode, x_size):
+    code, out, err = run(capsys, ["family", "check", "--mode", mode, "--omega", edus_file,
+                                  f"--x-size={x_size}"])
+    assert code == 2
+    assert out == ""
+    assert "x_size must be at least 1" in err
 
 
 def test_family_check_failing_graded_scan_over_the_budget_exits_3(capsys, tmp_path):

@@ -194,3 +194,10 @@ def test_count_bounds():
         count_basis_trees(4, 5)
     with pytest.raises(ResourceBoundError):
         r_sequence(65)
+
+
+@pytest.mark.parametrize("order", [0, -1])
+def test_order_below_one_is_a_value_error(order):
+    with pytest.raises(ValueError) as exc:
+        r_sequence(order)
+    assert not isinstance(exc.value, ResourceBoundError)

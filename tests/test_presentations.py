@@ -85,6 +85,14 @@ def test_term_codec():
         parse_term("(f 1 " * 1200 + "2" + ")" * 1200)
 
 
+@pytest.mark.parametrize("label", ["1_0", "+2", "\u0663", "-1", "2.0"])
+def test_leaf_labels_are_ascii_digits(label):
+    with pytest.raises(ParseError) as exc:
+        parse_term(f"(f 1 {label})")
+    assert exc.value.position == 5
+    assert parse_term("(f 1 10)") == ("f", 1, 10)
+
+
 @settings(max_examples=500, deadline=None)
 @given(st.lists(st.sampled_from(["(", ")", "_", ".", "x0", "0", "1", "1:0", "f", "junk"]),
                 max_size=24))
@@ -247,6 +255,9 @@ def test_mixing_filter_rejects_out_of_range_colors():
     for coloring in ((0, 2), (-1, 0)):
         with pytest.raises(ValueError):
             mixing_filter(preset("duplicial"), tables, 2, coloring, 0)
+    for output in (2, -1):
+        with pytest.raises(ValueError):
+            mixing_filter(preset("duplicial"), tables, 2, (0, 1), output)
 
 
 def test_default_tables_need_matching_structure():

@@ -120,6 +120,15 @@ def test_nesting_past_the_limit_is_a_parse_error():
     assert parse(serialize(t)) == t
 
 
+@pytest.mark.parametrize("edge_type", ["1_0", "+2", "\u0663", "-1", "0:+1", "1_0:0", "0:1:2", "0:"])
+def test_edge_types_are_ascii_digits(edge_type):
+    with pytest.raises(ParseError) as exc:
+        parse(f"(x {edge_type} . (y . . _ _) _)")
+    assert exc.value.position == 3
+    assert parse("(x 10 . (y . . _ _) _)").lt == 10
+    assert parse("(x 0:10 . (y . . _ _) _)").lt == (0, 10)
+
+
 @settings(max_examples=500, deadline=None)
 @given(st.lists(st.sampled_from(["(", ")", "_", ".", "x0", "0", "1", "1:0", "f", "junk"]),
                 max_size=24))
