@@ -18,6 +18,18 @@ from . import omega
 from .errors import FamopError, ParseError, PreconditionError, ResourceBoundError
 
 
+def _integer(text: str) -> int:
+    """An integer option: ASCII digits after at most one minus sign."""
+    if not omega._digits(text.removeprefix("-")):
+        raise argparse.ArgumentTypeError(f"invalid integer {text!r}")
+    return int(text)
+
+
+def _integers(text: str) -> list:
+    """A comma-separated list of integer options."""
+    return [_integer(v) for v in text.split(",")]
+
+
 def _load_json(path: str):
     with open(path, "r", encoding="utf-8") as fh:
         return json.load(fh)
@@ -56,18 +68,13 @@ def _cmd_trees_product(args) -> int:
     s = _load_structure(args.omega)
     left = trees.parse(args.left)
     right = trees.parse(args.right)
-    params = [int(v) for v in args.param.split(",")]
     if args.mode in ("prec2", "succ2"):
-        if len(params) != 2:
+        if len(args.param) != 2:
             raise PreconditionError("two-parameter products need --param a,b")
-        fn = duplicial.prec2 if args.mode == "prec2" else duplicial.succ2
-        result = fn(left, right, params[0], params[1], s)
-    else:
-        if len(params) != 1:
-            raise PreconditionError("one-parameter products need --param w")
-        fn = duplicial.prec1 if args.mode == "prec1" else duplicial.succ1
-        result = fn(left, right, params[0], s)
-    payload = {"mode": args.mode, "param": params, "result": trees.serialize(result)}
+    elif len(args.param) != 1:
+        raise PreconditionError("one-parameter products need --param w")
+    result = getattr(duplicial, args.mode)(left, right, *args.param, s)
+    payload = {"mode": args.mode, "param": args.param, "result": trees.serialize(result)}
     _emit(payload, f"trees product {args.mode}: ok")
     return 0
 
@@ -121,12 +128,11 @@ def _cmd_present_mix(args) -> int:
     s = _load_structure(args.omega)
     tables = presentations.omega_algebra_from_structure(p, s)
     if args.coloring is not None:
-        coloring = [int(v) for v in args.coloring.split(",")]
         result = presentations.mixing_filter(p, tables, args.arity,
-                                             coloring, args.output)
+                                             args.coloring, args.output)
         payload = {
             "preset": args.preset, "arity": args.arity,
-            "coloring": coloring, "output": args.output,
+            "coloring": args.coloring, "output": args.output,
             "consistent": result.consistent,
             "members": [presentations.serialize_term(t) for t in result.members],
             "non_members": [presentations.serialize_term(t)
@@ -134,10 +140,7 @@ def _cmd_present_mix(args) -> int:
         }
     else:
         census = presentations.mixing_census(p, tables, args.arity)
-        payload = {"preset": args.preset, "arity": args.arity}
-        payload.update({"classes": census["classes"],
-                        "consistent": census["consistent"],
-                        "member_counts": census["member_counts"]})
+        payload = {"preset": args.preset, "arity": args.arity, **census}
     _emit(payload, f"present mix {args.preset} arity {args.arity}: consistent")
     return 0
 
@@ -187,7 +190,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--input", required=True)
     p.set_defaults(fn=_cmd_omega_check)
     p = omega_sub.add_parser("enumerate", help="all structures of a size")
-    p.add_argument("--size", type=int, required=True)
+    p.add_argument("--size", type=_integer, required=True)
     p.add_argument("--kind", required=True, choices=sorted(omega.KIND_LAWS))
     p.add_argument("--force", action="store_true",
                    help="allow size 4 despite the default bound")
@@ -199,7 +202,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--mode", required=True,
                    choices=("prec1", "succ1", "prec2", "succ2"))
     p.add_argument("--omega", required=True, help="structure JSON file")
-    p.add_argument("--param", required=True, help="w or a,b")
+    p.add_argument("--param", type=_integers, required=True, help="w or a,b")
     p.add_argument("left", help="left tree in the text grammar")
     p.add_argument("right", help="right tree in the text grammar")
     p.set_defaults(fn=_cmd_trees_product)
@@ -210,44 +213,44 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--mode", required=True,
                    choices=("two_param", "one_param", "graded"))
     p.add_argument("--omega", required=True)
-    p.add_argument("--max-vertices", type=int, default=3)
-    p.add_argument("--x-size", type=int, default=1)
+    p.add_argument("--max-vertices", type=_integer, default=3)
+    p.add_argument("--x-size", type=_integer, default=1)
     p.set_defaults(fn=_cmd_family_check)
 
     p_operad = sub.add_parser("operad", help="set operads")
     operad_sub = p_operad.add_subparsers(dest="subcommand", required=True)
     p = operad_sub.add_parser("check", help="associativity and unit laws")
     p.add_argument("--which", required=True, choices=sorted(_OPERAD_NAMES))
-    p.add_argument("--max", type=int, default=3)
+    p.add_argument("--max", type=_integer, default=3)
     p.set_defaults(fn=_cmd_operad_check)
     p = operad_sub.add_parser("iso", help="pairs vs twist-quotient roundtrip")
-    p.add_argument("--max-arity", type=int, default=4)
+    p.add_argument("--max-arity", type=_integer, default=4)
     p.set_defaults(fn=_cmd_operad_iso)
 
     p_present = sub.add_parser("present", help="presented quotients")
     present_sub = p_present.add_subparsers(dest="subcommand", required=True)
     p = present_sub.add_parser("quotient", help="class count at one arity")
     p.add_argument("--preset", required=True)
-    p.add_argument("--arity", type=int, required=True)
+    p.add_argument("--arity", type=_integer, required=True)
     p.set_defaults(fn=_cmd_present_quotient)
     p = present_sub.add_parser("mix", help="color-mixing membership")
     p.add_argument("--preset", required=True)
     p.add_argument("--omega", required=True)
-    p.add_argument("--arity", type=int, required=True)
-    p.add_argument("--coloring", help="comma-separated input colors")
-    p.add_argument("--output", type=int, default=0)
+    p.add_argument("--arity", type=_integer, required=True)
+    p.add_argument("--coloring", type=_integers, help="comma-separated input colors")
+    p.add_argument("--output", type=_integer, default=0)
     p.set_defaults(fn=_cmd_present_mix)
 
     p_dims = sub.add_parser("dims", help="dimension polynomials")
     dims_sub = p_dims.add_subparsers(dest="subcommand", required=True)
     p = dims_sub.add_parser("r", help="one dimension polynomial")
-    p.add_argument("--n", type=int, required=True)
-    p.add_argument("--eval", dest="eval_w", type=int)
+    p.add_argument("--n", type=_integer, required=True)
+    p.add_argument("--eval", dest="eval_w", type=_integer)
     p.add_argument("--verify", action="store_true")
     p.set_defaults(fn=_cmd_dims_r)
     p = dims_sub.add_parser("count", help="pattern-avoiding tree count")
-    p.add_argument("--n", type=int, required=True)
-    p.add_argument("--w", type=int, required=True)
+    p.add_argument("--n", type=_integer, required=True)
+    p.add_argument("--w", type=_integer, required=True)
     p.set_defaults(fn=_cmd_dims_count)
 
     return parser

@@ -191,10 +191,10 @@ def _tree_law(relation, mode: str):
     and q runs the mode's product at (p, q) and carries its grade, the
     generator's arrow at (p, q).  A graded side is its tree hung below a
     root edge typed by its grade, so grades compare as edge types do."""
-    ((lhs, _),), ((rhs, _),) = relation
+    (lhs, _), (rhs, _) = relation
 
     def law(s, t, u, a, b, c, ops):
-        leaves = ((s, a), (t, b), (u, c))
+        leaves = {1: (s, a), 2: (t, b), 3: (u, c)}
 
         def value(term):
             if isinstance(term, int):

@@ -148,11 +148,11 @@ def random_family(dim: int, omega_size: int, op_names, seed: int,
 
 
 # ---------------------------------------------------------------------------
-# Laws.  A law is (id, lhs, rhs): one signed relation of
-# ``omega.RELATIONS``, each side a tuple of (term, sign) over the variables
-# x = 0, y = 1, z = 2.
+# Laws.  A law is (id, lhs, rhs): a relation of ``omega.RELATIONS`` split
+# after its first member, each side a tuple of (term, sign) over the leaves
+# x = 1, y = 2, z = 3.
 
-X, Y, Z = 0, 1, 2
+X, Y, Z = 1, 2, 3
 
 
 def _products(term) -> int:
@@ -161,10 +161,10 @@ def _products(term) -> int:
 
 def _named(ids, name: str) -> tuple:
     """The relations of ``name`` as laws, each homogeneous for ``_scan``."""
-    laws = tuple((law_id,) + relation
+    laws = tuple((law_id, relation[:1], relation[1:])
                  for law_id, relation in zip(ids, RELATIONS[name].relations))
-    for law_id, *relation in laws:
-        if len({_products(term) for term in monomials(relation)}) != 1:
+    for law_id, lhs, rhs in laws:
+        if len({_products(term) for term in monomials(lhs + rhs)}) != 1:
             raise ValueError(f"law {law_id} mixes monomials of different degrees")
     return laws
 
@@ -192,7 +192,7 @@ _GRADED_KINDS = ("dendriform", "duplicial", "prelie")
 
 def _subterms(laws) -> list:
     """Every product subterm of the laws once, operands first."""
-    return subterms(term for _, *relation in laws for term in monomials(relation))
+    return subterms(term for _, lhs, rhs in laws for term in monomials(lhs + rhs))
 
 
 def _ops(kind: str, laws, available, owner: str) -> tuple:
@@ -230,8 +230,8 @@ def _scan(report: LawReport, laws, cubes, grades, dim: int, w: int) -> LawReport
     basis = [_basis(dim, n, int) for n in range(dim)]
     for i, j, k in itertools.product(range(dim), repeat=3):
         for params in itertools.product(range(w), repeat=3):
-            values: dict = {X: (basis[i], params[X]), Y: (basis[j], params[Y]),
-                            Z: (basis[k], params[Z])}
+            values: dict = {X: (basis[i], params[0]), Y: (basis[j], params[1]),
+                            Z: (basis[k], params[2])}
             for term in terms:
                 op, left, right = term
                 (u, p), (v, q) = values[left], values[right]

@@ -19,14 +19,12 @@ import itertools
 import os
 from dataclasses import dataclass
 from functools import lru_cache
-from typing import NamedTuple
 
 from .errors import PreconditionError, ResourceBoundError
 from .report import LawReport
 
 Table = tuple[tuple[int, ...], ...]
 
-OMEGA_KINDS = ("diassociative", "duplicial", "edus")
 MAGMA_KINDS = ("associative", "twist_associative", "napnapprime", "perm")
 
 
@@ -61,6 +59,13 @@ def _json_fields(data, what: str, *keys) -> list:
     if "size" in keys and type(data["size"]) is not int:
         raise PreconditionError(f"structure size {data['size']!r} is not an integer")
     return [data[key] for key in keys]
+
+
+def _digits(text: str) -> bool:
+    """Numbers in the text grammars and the CLI are ASCII digits only
+    (``int`` alone would also read ``+2``, ``1_0`` and the digits of other
+    scripts)."""
+    return text.isascii() and text.isdigit()
 
 
 @dataclass(frozen=True)
@@ -171,79 +176,135 @@ def from_semigroup(m: Magma) -> OmegaStructure:
 
 
 # ---------------------------------------------------------------------------
-# Laws.  A law is (id, lhs, rhs) where each side is a term tree: an integer
-# 0..2 names a variable, a tuple (op, l, r) applies an operation table.
+# Presentations.  A term is a leaf label 1..n or a tuple (gen, l, r).
 
 
-class Presented(NamedTuple):
-    """A presented relation set and the parameter structure it defines.
+def term_arity(t) -> int:
+    if isinstance(t, int):
+        return 1
+    return term_arity(t[1]) + term_arity(t[2])
 
-    ``relations`` are signed relations ``(lhs, rhs)`` over x = 0, y = 1,
-    z = 2, each side a tuple of ``(term, sign)``.  The parameter structure
-    of kind ``kind`` is the one on which every monomial of a relation
-    evaluates alike; its laws ``(id, relation, i, j)`` say that monomial i
-    equals monomial j, numbered lhs first with the signs dropped, read in
-    the tables that ``GENERATOR_OPS`` assigns to the generators.
+
+def term_leaves(t) -> list[int]:
+    if isinstance(t, int):
+        return [t]
+    return term_leaves(t[1]) + term_leaves(t[2])
+
+
+def serialize_term(t) -> str:
+    if isinstance(t, int):
+        return str(t)
+    return f"({t[0]} {serialize_term(t[1])} {serialize_term(t[2])})"
+
+
+def monomials(relation) -> list:
+    """The terms of a relation's members, in order, signs dropped."""
+    return [term for term, _ in relation]
+
+
+@dataclass(frozen=True)
+class Presentation:
+    """Binary generators and signed relations over terms with leaves 1..n.
+
+    A term is a leaf label or a tuple ``(gen, left, right)``.  A relation is
+    a tuple of members ``(term, sign)``, read as: the first member equals
+    the signed sum of the rest; the set quotient identifies all members.  A
+    registry entry also names the parameter kind ``kind`` it defines, on
+    which every member of a relation evaluates alike: its laws ``(id,
+    relation, i, j)`` say that member i equals member j, read in the tables
+    that ``GENERATOR_OPS`` assigns to the generators.
     """
 
     generators: tuple
     mode: str  # "planar" | "labeled"
-    relations: tuple
-    kind: str
-    laws: tuple
+    relations: tuple = ()
+    kind: str | None = None
+    laws: tuple = ()
+
+    def __post_init__(self):
+        if self.mode not in ("planar", "labeled"):
+            raise ValueError("mode must be 'planar' or 'labeled'")
+        object.__setattr__(self, "generators", tuple(self.generators))
+        object.__setattr__(self, "relations", tuple(map(tuple, self.relations)))
+        for relation in self.relations:
+            if not all(isinstance(m, tuple) and len(m) == 2 and m[1] in (1, -1)
+                       for m in relation):
+                raise PreconditionError("a relation member is a pair (term, sign), "
+                                        "the sign 1 or -1")
+            for t in monomials(relation):
+                leaves = term_leaves(t)
+                planar_order = self.mode == "planar" and leaves != sorted(leaves)
+                if len(set(leaves)) < len(leaves) or planar_order:
+                    raise PreconditionError(f"relation member {serialize_term(t)} repeats a leaf "
+                                            "label or, in planar mode, breaks left-to-right order")
+            if len({term_arity(t) for t in monomials(relation)}) > 1:
+                import warnings
+                warnings.warn("non-homogeneous relation class: the fixed-arity "
+                              "closure may be a proper refinement of the set "
+                              "operadic equivalence", stacklevel=2)
+
+    def to_json(self) -> dict:
+        """Members as text, a member of sign -1 with a leading ``-``."""
+        return {"generators": list(self.generators), "mode": self.mode,
+                "relations": [["-" * (sign < 0) + serialize_term(t) for t, sign in relation]
+                              for relation in self.relations]}
+
+    @classmethod
+    def from_json(cls, data: dict) -> "Presentation":
+        from .presentations import parse_term
+        generators, mode, relations = _json_fields(
+            data, "presentation", "generators", "mode", "relations")
+        if not (isinstance(relations, list) and
+                all(isinstance(v, list) for v in (generators, *relations)) and
+                all(isinstance(t, str) for relation in relations for t in relation)):
+            raise PreconditionError("presentation generators and relations "
+                                    "must be lists, members strings")
+        return cls(generators, mode,
+                   [[(parse_term(t.removeprefix("-")), -1 if t.startswith("-") else 1)
+                     for t in relation] for relation in relations])
 
 
-def _presented() -> dict:
+def _registry() -> dict:
     p, s, m, r = "prec", "succ", "mul", "rhd"
-    x, y, z = 0, 1, 2
+    x, y, z = 1, 2, 3
     return {
-        "dendriform": Presented(
-            (p, s), "planar",
-            (((((p, (p, x, y), z), 1),),
-              (((p, x, (p, y, z)), 1), ((p, x, (s, y, z)), 1))),
-             ((((p, (s, x, y), z), 1),), (((s, x, (p, y, z)), 1),)),
-             ((((s, x, (s, y, z)), 1),),
-              (((s, (s, x, y), z), 1), ((s, (p, x, y), z), 1)))),
-            "diassociative",
-            (("D1", 0, 0, 1), ("D2", 0, 1, 2), ("D3", 1, 0, 1),
-             ("D4", 2, 1, 2), ("D5", 2, 2, 0))),
-        "duplicial": Presented(
-            (p, s), "planar",
-            (((((p, (p, x, y), z), 1),), (((p, x, (p, y, z)), 1),)),
-             ((((p, (s, x, y), z), 1),), (((s, x, (p, y, z)), 1),)),
-             ((((s, x, (s, y, z)), 1),), (((s, (s, x, y), z), 1),))),
+        "dendriform": Presentation((p, s), "planar", (
+            (((p, (p, x, y), z), 1), ((p, x, (p, y, z)), 1), ((p, x, (s, y, z)), 1)),
+            (((p, (s, x, y), z), 1), ((s, x, (p, y, z)), 1)),
+            (((s, x, (s, y, z)), 1), ((s, (s, x, y), z), 1), ((s, (p, x, y), z), 1))),
+            "diassociative", (("D1", 0, 0, 1), ("D2", 0, 1, 2), ("D3", 1, 0, 1),
+                              ("D4", 2, 1, 2), ("D5", 2, 2, 0))),
+        "duplicial": Presentation((p, s), "planar", (
+            (((p, (p, x, y), z), 1), ((p, x, (p, y, z)), 1)),
+            (((p, (s, x, y), z), 1), ((s, x, (p, y, z)), 1)),
+            (((s, x, (s, y, z)), 1), ((s, (s, x, y), z), 1))),
             "duplicial", (("U1", 0, 0, 1), ("U2", 1, 0, 1), ("U3", 2, 1, 0))),
-        "associative": Presented(
-            (m,), "planar",
-            (((((m, (m, x, y), z), 1),), (((m, x, (m, y, z)), 1),)),),
+        "associative": Presentation(
+            (m,), "planar", ((((m, (m, x, y), z), 1), ((m, x, (m, y, z)), 1)),),
             "associative", (("A1", 0, 0, 1),)),
-        "twist": Presented(
-            (m,), "labeled",
-            (((((m, x, (m, y, z)), 1),), (((m, (m, y, x), z), -1),)),),
+        "twist": Presentation(
+            (m,), "labeled", ((((m, x, (m, y, z)), 1), ((m, (m, y, x), z), -1)),),
             "twist_associative", (("T1", 0, 0, 1),)),
-        "napnap": Presented(
-            (m,), "labeled",
-            (((((m, x, (m, y, z)), 1),), (((m, y, (m, x, z)), 1),)),
-             ((((m, (m, x, y), z), 1),), (((m, (m, y, x), z), 1),))),
+        "napnap": Presentation((m,), "labeled", (
+            (((m, x, (m, y, z)), 1), ((m, y, (m, x, z)), 1)),
+            (((m, (m, x, y), z), 1), ((m, (m, y, x), z), 1))),
             "napnapprime", (("N1", 0, 0, 1), ("N2", 1, 0, 1))),
-        "prelie": Presented(
-            (r,), "labeled",
-            (((((r, x, (r, y, z)), 1), ((r, (r, x, y), z), -1)),
-              (((r, y, (r, x, z)), 1), ((r, (r, y, x), z), -1))),),
+        "prelie": Presentation((r,), "labeled", (  # x(yz) = (xy)z + y(xz) - (yx)z
+            (((r, x, (r, y, z)), 1), ((r, (r, x, y), z), 1),
+             ((r, y, (r, x, z)), 1), ((r, (r, y, x), z), -1)),),
             "perm", (("P1", 0, 1, 0), ("P2", 0, 0, 2), ("P3", 0, 1, 3))),
     }
 
 
-RELATIONS = _presented()
+RELATIONS = _registry()
 
 # The parameter table that each generator reads.
 GENERATOR_OPS = {"prec": "la", "succ": "ra", "rhd": "mul", "mul": "mul"}
 
 
-def monomials(relation) -> list:
-    """The terms of a signed relation, lhs first, signs dropped."""
-    lhs, rhs = relation
-    return [term for term, _ in lhs + rhs]
+# ---------------------------------------------------------------------------
+# Laws.  A law is (id, lhs, rhs) where each side is a term tree: an integer
+# 0..k-1 names a variable, a tuple (op, l, r) applies an operation table.
 
 
 def subterms(terms) -> list:
@@ -261,12 +322,13 @@ def subterms(terms) -> list:
     return list(seen)
 
 
-def _in_tables(term):
-    """A monomial read in the parameter tables."""
+def law_term(term, ops=None):
+    """A term over leaves 1..n as a compiler term over variables 0..n-1,
+    each generator renamed through ``ops`` when given."""
     if isinstance(term, int):
-        return term
+        return term - 1
     gen, left, right = term
-    return (GENERATOR_OPS[gen], _in_tables(left), _in_tables(right))
+    return (ops[gen] if ops else gen, law_term(left, ops), law_term(right, ops))
 
 
 # Compatibility of the triangles with the arrows in an extended duplicial
@@ -287,7 +349,7 @@ def _kind_laws() -> dict:
     out = {}
     for entry in RELATIONS.values():
         out[entry.kind] = tuple(
-            (law_id, _in_tables(terms[i]), _in_tables(terms[j]))
+            (law_id, law_term(terms[i], GENERATOR_OPS), law_term(terms[j], GENERATOR_OPS))
             for law_id, rel, i, j in entry.laws
             for terms in [monomials(entry.relations[rel])])
         if entry.kind == "duplicial":
@@ -568,7 +630,8 @@ def enumerate_structures(size: int, kind: str, force: bool = False) -> list:
     semigroup are associative (for diassociative the right arrow inherits it
     from D4+D5), so the arrows are pairs of associative tables joined by
     ``_arrow_pairs``.  At size 4 the join takes seconds; the triangle
-    search that ``edus`` runs on each of its 201501 pairs would take hours.
+    search that ``edus`` would run on each of its 201501 pairs would take
+    hours, so ``edus`` stops at size 3 whatever the bound.
     """
     if kind not in KIND_LAWS:
         raise ValueError(f"unknown kind {kind!r}")
@@ -578,6 +641,9 @@ def enumerate_structures(size: int, kind: str, force: bool = False) -> list:
         raise ResourceBoundError(
             f"size {size} exceeds the enumeration bound {size_bound(force)}; "
             f"pass force=True (size 4) or set FAMOP_MAX_SIZE")
+    if kind == "edus" and size > 3:
+        raise ResourceBoundError(f"edus enumeration at size {size} would take hours; "
+                                 "the bound for edus is 3")
 
     if kind in MAGMA_KINDS:
         tables = (_assoc_tables(size) if kind == "associative"

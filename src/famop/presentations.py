@@ -5,41 +5,24 @@ generator symbols: a leaf is an integer label, a vertex is a tuple
 ``(gen, left, right)``.  In planar mode leaves read 1..n from left to
 right; in labeled mode they carry an arbitrary bijective labeling.
 
-A presentation identifies, inside every term and under every substitution
-of subtrees for pattern variables, the members of each relation class;
-the induced partition at a fixed arity is computed by union-find over
-one-step rewrites, which is exact for arity-homogeneous relations.
+A presentation (``omega.Presentation``) identifies, inside every term and
+under every substitution of subtrees for pattern variables, all members of
+each relation; the induced partition at a fixed arity is computed by
+union-find over one-step rewrites, which is exact for arity-homogeneous
+relations.
 """
 from __future__ import annotations
 
 import itertools
-import warnings
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
-from .errors import MixingConsistencyError, PreconditionError, ResourceBoundError
-from .omega import (RELATIONS, _freeze_table, _json_fields, eval_term,
-                    first_violation, monomials, tables_by_op)
-from .trees import Bracketed, _digits
+from .errors import MixingConsistencyError, ResourceBoundError
+from .omega import (RELATIONS, Presentation, _digits, _freeze_table, eval_term,
+                    first_violation, law_term, monomials, serialize_term, tables_by_op,
+                    term_arity, term_leaves)
+from .trees import Bracketed
 
 Term = object  # int leaf label | (gen, Term, Term)
-
-
-def term_arity(t: Term) -> int:
-    if isinstance(t, int):
-        return 1
-    return term_arity(t[1]) + term_arity(t[2])
-
-
-def term_leaves(t: Term) -> list[int]:
-    if isinstance(t, int):
-        return [t]
-    return term_leaves(t[1]) + term_leaves(t[2])
-
-
-def serialize_term(t: Term) -> str:
-    if isinstance(t, int):
-        return str(t)
-    return f"({t[0]} {serialize_term(t[1])} {serialize_term(t[2])})"
 
 
 def parse_term(text: str) -> Term:
@@ -57,58 +40,11 @@ def parse_term(text: str) -> Term:
     return term(src.item)
 
 
-@dataclass
-class Presentation:
-    """Binary generators plus relation classes of equal-arity terms."""
-
-    generators: list
-    mode: str  # "planar" | "labeled"
-    relations: list = field(default_factory=list)
-
-    def __post_init__(self):
-        if self.mode not in ("planar", "labeled"):
-            raise ValueError("mode must be 'planar' or 'labeled'")
-        for cls in self.relations:
-            for t in cls:
-                leaves = term_leaves(t)
-                planar_order = self.mode == "planar" and leaves != sorted(leaves)
-                if len(set(leaves)) < len(leaves) or planar_order:
-                    raise PreconditionError(f"relation member {serialize_term(t)} repeats a leaf "
-                                            "label or, in planar mode, breaks left-to-right order")
-            arities = {term_arity(t) for t in cls}
-            if len(arities) > 1:
-                warnings.warn("non-homogeneous relation class: the fixed-arity "
-                              "closure may be a proper refinement of the set "
-                              "operadic equivalence", stacklevel=2)
-
-    def to_json(self) -> dict:
-        return {"generators": list(self.generators), "mode": self.mode,
-                "relations": [[serialize_term(t) for t in cls]
-                              for cls in self.relations]}
-
-    @classmethod
-    def from_json(cls, data: dict) -> "Presentation":
-        generators, mode, relations = _json_fields(
-            data, "presentation", "generators", "mode", "relations")
-        if not (isinstance(relations, list) and
-                all(isinstance(v, list) for v in (generators, *relations)) and
-                all(isinstance(t, str) for cls_ in relations for t in cls_)):
-            raise PreconditionError("presentation generators and relation "
-                                    "classes must be lists, terms strings")
-        return cls(list(generators), mode,
-                   [[parse_term(t) for t in cls_] for cls_ in relations])
-
-
 def preset(name: str) -> Presentation:
-    """The presentation of ``omega.RELATIONS[name]``: one class per
-    relation, its monomials with the variables x, y, z as leaves 1, 2, 3."""
+    """The registry entry ``omega.RELATIONS[name]``."""
     if name not in RELATIONS:
         raise ValueError(f"unknown preset {name!r}; have {sorted(RELATIONS)}")
-    entry = RELATIONS[name]
-    leaves = {0: 1, 1: 2, 2: 3}
-    return Presentation(list(entry.generators), entry.mode,
-                        [[_relabel(t, leaves) for t in monomials(relation)]
-                         for relation in entry.relations])
+    return RELATIONS[name]
 
 
 # ---------------------------------------------------------------------------
@@ -171,11 +107,11 @@ def _match(pattern: Term, t: Term, binding: dict) -> bool:
 
 
 def _swaps(relations) -> list:
-    """Each relation member with the members of its class that share its
+    """Each relation member with the members of its relation that share its
     leaf set: only those swaps can join two terms of one arity."""
-    return [(member, [other for other in cls if other is not member
+    return [(member, [other for other in terms if other is not member
                       and set(term_leaves(other)) == set(term_leaves(member))])
-            for cls in relations for member in cls]
+            for terms in map(monomials, relations) for member in terms]
 
 
 def _rewrites(t: Term, swaps) -> list[Term]:
@@ -350,13 +286,12 @@ def _carrier_size(p: Presentation, omega_algebra: dict) -> int:
     return size
 
 
-def _check_consistency(classes, tables: dict, size: int, arity: int):
+def _check_consistency(classes, tables: dict, size: int):
     """Raise for the first class, in class order, whose terms do not all
     evaluate alike under every coloring."""
-    to_vars = {leaf: leaf - 1 for leaf in range(1, arity + 1)}
     for cls in classes:
-        rep = _relabel(cls[0], to_vars)
-        laws = tuple((i, rep, _relabel(t, to_vars)) for i, t in enumerate(cls[1:]))
+        rep = law_term(cls[0])
+        laws = tuple((i, rep, law_term(t)) for i, t in enumerate(cls[1:]))
         if first_violation(laws, tables, size) is not None:
             raise MixingConsistencyError(serialize_term(cls[0]))
 
@@ -381,7 +316,7 @@ def mixing_filter(p: Presentation, omega_algebra: dict, arity: int,
     if not (isinstance(output, int) and 0 <= output < size):
         raise ValueError(f"the output color must lie in 0..{size - 1}")
     classes = quotient_classes(p, arity)
-    _check_consistency(classes, omega_algebra, size, arity)
+    _check_consistency(classes, omega_algebra, size)
     env = dict(zip(range(1, arity + 1), coloring))
     members, non_members = [], []
     for cls in classes:
@@ -398,7 +333,7 @@ def mixing_census(p: Presentation, omega_algebra: dict, arity: int) -> dict:
     """
     size = _carrier_size(p, omega_algebra)
     classes = quotient_classes(p, arity)
-    _check_consistency(classes, omega_algebra, size, arity)
+    _check_consistency(classes, omega_algebra, size)
     counts = [(serialize_term(cls[0]), size ** arity) for cls in classes]
     return {"classes": len(classes), "consistent": True, "member_counts": counts}
 

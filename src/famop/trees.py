@@ -18,7 +18,7 @@ import re
 from dataclasses import dataclass
 
 from .errors import ParseError, ResourceBoundError
-from .omega import _json_fields
+from .omega import _digits, _json_fields
 
 Leaf = None
 
@@ -228,12 +228,6 @@ class Bracketed:
         if len(group) != n + 2:
             raise self.error(group[min(len(group) - 1, n + 1)], f"expected {n} fields and ')'")
         return group[1:-1]
-
-
-def _digits(text: str) -> bool:
-    """Numbers in the text grammars are ASCII digits only (``int`` alone
-    would also read ``+2``, ``1_0`` and the digits of other scripts)."""
-    return text.isascii() and text.isdigit()
 
 
 def _parse_type(src: Bracketed, part):

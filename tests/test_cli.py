@@ -1,4 +1,5 @@
 """Command-line surface: outputs, exit codes, determinism, what a command loads."""
+import hashlib
 import json
 import os
 import subprocess
@@ -138,6 +139,74 @@ def test_present_mix_output_out_of_range_is_a_usage_error(capsys, proj2_file, ou
     assert code == 2
     assert out == ""
     assert "output color" in err
+
+
+# A size-2 structure for each preset, of the kind the preset defines.
+_PRESET_STRUCTURES = {
+    "dendriform": {"size": 2, "left": [[0, 0], [1, 1]], "right": [[0, 1], [0, 1]]},
+    "duplicial": {"size": 2, "left": [[0, 1], [1, 0]], "right": [[1, 0], [0, 1]]},
+    "associative": {"size": 2, "table": [[0, 1], [1, 0]]},
+    "twist": {"size": 2, "table": [[0, 1], [1, 1]]},
+    "napnap": {"size": 2, "table": [[1, 0], [1, 0]]},
+    "prelie": {"size": 2, "table": [[0, 1], [0, 1]]},
+}
+
+# SHA-256 of the stdout of each --preset command, recorded at commit 53e109b,
+# when the registry held its relations as (lhs, rhs) pairs over variables 0-2
+# and ``preset`` relabelled them to leaves 1..3.
+_PRESET_GOLDEN = {
+    ("dendriform", "quotient 1"): "a0675035865ee7d22c0274061a8abe1eede20c1d2f57b95c003c6c810815ca10",
+    ("dendriform", "quotient 2"): "c1408d835de48d4b19e7c2b3d4d9478374fb9e7b24a6b5b256fcfd4614bd3b6f",
+    ("dendriform", "quotient 3"): "062436678b42927f8f8d29ce8fb4f45224dde131c26a1f4e2375e9a178af4121",
+    ("dendriform", "quotient 4"): "ea1faf3997e3246c24c783206a4364d2c8ed1a9396a542707ec4da7118aa8c80",
+    ("dendriform", "mix census"): "39113a3a13ca9daa037b4ce12abfc1ee452174853c682aed5d6efd2e431cc5cf",
+    ("dendriform", "mix 0,1,1 -> 1"): "fdc44a4f9caa09d2f1743f86dcc8465e3edc57a3829bdb2f979f9201a3a4bef0",
+    ("duplicial", "quotient 1"): "a3cc2701d1ebad952a08b5bfbd40f29c890154308527fcd6a2854abc9692821e",
+    ("duplicial", "quotient 2"): "481e420e4a95e32355336c4369641192144d5b31d98e98144e999c945e6cf4b5",
+    ("duplicial", "quotient 3"): "cb56def35c5697397ee8f0b2b96e1e08f0c8a9b9d1ef908711521d874b08269e",
+    ("duplicial", "quotient 4"): "84f60961f3980702112ea4bbb9d7c85a271ce6b5f62394a56bc9c390d2a88829",
+    ("duplicial", "mix census"): "bf8db607492326180a2d60ab1aa803731a89d453f58dcefa5be853ffca85604e",
+    ("duplicial", "mix 0,1,1 -> 1"): "a7fd5f56510f40e82287f32b02006c27ec2e72cd8dbcf922d2d74a9ba45290d5",
+    ("associative", "quotient 1"): "afe6beafa9bc552d050c170ffd0036522b1fdfbe336b58c2bec1839b9e9697eb",
+    ("associative", "quotient 2"): "ce6a0c327b0ba17fb31521d7e7ed75b8912739c5afea4633dfc1dafaaf7ef26c",
+    ("associative", "quotient 3"): "99e03dc7e6bd649fc1b99268183a75ec318810dfc7da8f6532cee4cd2066724b",
+    ("associative", "quotient 4"): "88d7d7c279870416d0346f020b24377900bcb0e9cc3e4e116383609351c1242d",
+    ("associative", "mix census"): "7b8c489bd312408e33d7514d3bd6bce5f2315a57a9506024fd3a277ed2de5959",
+    ("associative", "mix 0,1,1 -> 1"): "c37d92cf3942f54513381ffbfab41b0430993db1bf76e039c22c55a36c113bcb",
+    ("twist", "quotient 1"): "e91c4ca12faf79e9b99d7f45f08d481ba9201ed957db49c82ea4346ec00b54d6",
+    ("twist", "quotient 2"): "db234660c6101343991c9fbba180261113aff0a777e48bbd43ca86ff8ad5ac55",
+    ("twist", "quotient 3"): "bb9bbdc71194a9cbcb89eb508a3b03f908001746ad58a6b7b76dbfea65a097b4",
+    ("twist", "quotient 4"): "a9a604927b02c8d53e034258b369c9a62aae8ecbe7f07bd6e6e7c9dd57fcbc64",
+    ("twist", "mix census"): "bdc95d6ce16cb8be4357a83bff616c4c1f758626783583813e6d91b7e0a505e1",
+    ("twist", "mix 0,1,1 -> 1"): "110776cc7232d5e29339434d7413ba515bcb8716bf0a47799af6d23a2f9da62b",
+    ("napnap", "quotient 1"): "25e5a02efa420abbfccffcc45efd0af49adbf5308c27b3664c212cee39da0876",
+    ("napnap", "quotient 2"): "af24e73fa1515a37acb6b664f87c68c616b3e8c29bcb29a669c29f076d43bbb0",
+    ("napnap", "quotient 3"): "3537ec021c77b5003a99fb43b99dcf799416bbcb4022fe46379ea1e9a245add9",
+    ("napnap", "quotient 4"): "1bb10369874d1257e3adca44c5747cb851a161818774b5127621c5984d5bc241",
+    ("napnap", "mix census"): "679aa98cc57166ffff35f867f658c260c25157b076ee0baed3d753a3efbd6421",
+    ("napnap", "mix 0,1,1 -> 1"): "70ebc591da97deed9434462a8fc70cd6b2d9826ac51c54db66e84f308e2718d2",
+    ("prelie", "quotient 1"): "493971b7beecd28677f37f9ff5f4f698f29c2ba004764ac25cd1a2032986e43f",
+    ("prelie", "quotient 2"): "feb8fac312f06c5c581b802770e03627ced5b27030468a6413af53068f3710c6",
+    ("prelie", "quotient 3"): "cde3d51fc9b4b9ced3a6f2d1c0476e134218e2e7b6932b4173f09c0238787956",
+    ("prelie", "quotient 4"): "ef83c2b2e35b56a00bc0bcb656ba5d8739263e95f6b589a63878b21145fce100",
+    ("prelie", "mix census"): "d7ebcadb7dc56153e9ef30de127ba96597410091c2c73764f95ae179236dbe8c",
+    ("prelie", "mix 0,1,1 -> 1"): "1c24c0a8f7a78c17b61c33d877dc42a602755794c4a3c5a65b15e8578bf5a927",
+}
+
+
+@pytest.mark.parametrize("name,command", sorted(_PRESET_GOLDEN))
+def test_preset_stdout_is_pinned(capsys, tmp_path, name, command):
+    structure = tmp_path / "omega.json"
+    structure.write_text(json.dumps(_PRESET_STRUCTURES[name]))
+    if command.startswith("quotient"):
+        argv = ["present", "quotient", "--preset", name, "--arity", command.split()[1]]
+    else:
+        argv = ["present", "mix", "--preset", name, "--omega", str(structure), "--arity", "3"]
+        if command != "mix census":
+            argv += ["--coloring", "0,1,1", "--output", "1"]
+    code, out, _ = run(capsys, argv)
+    assert code == 0
+    assert hashlib.sha256(out.encode()).hexdigest() == _PRESET_GOLDEN[name, command]
 
 
 def test_present_mix_on_a_magma_file_is_a_usage_error(capsys, magma_file):
@@ -281,6 +350,31 @@ def test_resource_bound_exit_code(capsys):
                                 "--kind", "duplicial"])
     assert code == 3
     assert "error" in json.loads(out)
+
+
+def test_edus_enumeration_beyond_size_3_exits_3_at_once(capsys):
+    start = time.perf_counter()
+    code, out, _ = run(capsys, ["omega", "enumerate", "--size", "4",
+                                "--kind", "edus", "--force"])
+    assert code == 3
+    assert "edus" in json.loads(out)["error"]
+    assert time.perf_counter() - start < 1.0
+
+
+@pytest.mark.parametrize("argv", [
+    ["dims", "r", "--n", "\u0663"],
+    ["dims", "count", "--n", "\u0663", "--w", "1"],
+    ["dims", "count", "--n", "1_0", "--w", "1"],
+    ["present", "mix", "--preset", "duplicial", "--omega", "PROJ2", "--arity", "2",
+     "--coloring", "+0,1"],
+])
+def test_integer_options_are_ascii_digits(capsys, proj2_file, argv):
+    with pytest.raises(SystemExit) as exc:
+        cli.main([proj2_file if arg == "PROJ2" else arg for arg in argv])
+    out, err = capsys.readouterr()
+    assert exc.value.code == 2
+    assert out == ""
+    assert "invalid integer" in err
 
 
 def test_env_override_raises_bound(capsys, monkeypatch):

@@ -453,9 +453,10 @@ def test_every_law_is_homogeneous():
 
 def test_a_law_of_mixed_degree_is_rejected(monkeypatch):
     # (xy)z = xy: the scan would compare L^2 and L times the rational sides
-    xy = ("mul", 0, 1)
-    relation = (((("mul", xy, 2), 1),), ((xy, 1),))
-    mixed = omega.Presented(("mul",), "planar", (relation,), "associative", ())
+    xy = ("mul", 1, 2)
+    relation = ((("mul", xy, 3), 1), (xy, 1))
+    with pytest.warns(UserWarning):  # not arity-homogeneous either
+        mixed = omega.Presentation(("mul",), "planar", (relation,), "associative")
     monkeypatch.setitem(omega.RELATIONS, "mixed", mixed)
     with pytest.raises(ValueError, match="M1"):
         linear._named(("M1",), "mixed")

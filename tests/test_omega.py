@@ -1,6 +1,7 @@
 """Parameter structures: law checks, enumeration, symbolic models."""
 import itertools
 import random
+import time
 
 import pytest
 from hypothesis import given, settings
@@ -172,6 +173,15 @@ def test_enumerate_singleton_duplicial():
 def test_enumerate_size_bound():
     with pytest.raises(ResourceBoundError):
         enumerate_structures(9, "duplicial")
+
+
+@pytest.mark.parametrize("size", [4, 5])
+def test_edus_beyond_size_3_is_refused_at_once(monkeypatch, size):
+    monkeypatch.setenv("FAMOP_MAX_SIZE", "5")
+    start = time.perf_counter()
+    with pytest.raises(ResourceBoundError, match="edus"):
+        enumerate_structures(size, "edus", force=True)
+    assert time.perf_counter() - start < 1.0
 
 
 def test_duplicial_not_diassociative_witness_exists():

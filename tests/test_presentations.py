@@ -344,17 +344,60 @@ def test_malformed_presentation_json_raises_precondition_error(data):
 @pytest.mark.parametrize("mode", ["planar", "labeled"])
 def test_relation_members_repeating_a_leaf_are_refused(mode):
     with pytest.raises(PreconditionError):
-        Presentation(["f", "g"], mode, [[("f", 1, 1), ("g", 1, 1)]])
+        Presentation(["f", "g"], mode, [[(("f", 1, 1), 1), (("g", 1, 1), 1)]])
 
 
 def test_non_homogeneous_relations_warn():
     plain = Presentation(["f"], "planar", [])
-    for cls in ([("f", 1, 2), ("f", ("f", 1, 2), 3)], [("f", ("f", 1, 2), 3), ("f", 1, 2)]):
+    for relation in ([(("f", 1, 2), 1), (("f", ("f", 1, 2), 3), 1)],
+                     [(("f", ("f", 1, 2), 3), 1), (("f", 1, 2), 1)]):
         with pytest.warns(UserWarning):
-            p = Presentation(["f"], "planar", [cls])
+            p = Presentation(["f"], "planar", [relation])
         # Members on different leaf sets never join two terms of one arity.
         assert [quotient_classes(p, n) for n in (1, 2, 3)] == \
             [quotient_classes(plain, n) for n in (1, 2, 3)]
+
+
+def test_a_preset_is_its_registry_entry():
+    for name in omega.RELATIONS:
+        assert preset(name) is omega.RELATIONS[name]
+        assert preset(name).kind in omega.KIND_LAWS
+
+
+def test_prelie_is_one_signed_relation():
+    # x(yz) = (xy)z + y(xz) - (yx)z, members in the order of the laws P1-P3
+    (relation,) = preset("prelie").relations
+    assert [(serialize_term(t), sign) for t, sign in relation] == [
+        ("(rhd 1 (rhd 2 3))", 1), ("(rhd (rhd 1 2) 3)", 1),
+        ("(rhd 2 (rhd 1 3))", 1), ("(rhd (rhd 2 1) 3)", -1)]
+    assert preset("twist").to_json()["relations"] == [["(mul 1 (mul 2 3))",
+                                                       "-(mul (mul 2 1) 3)"]]
+
+
+def _member(arity: int):
+    """A strategy for planar terms over leaves 1..arity with a sign."""
+    def shape(first: int, last: int):
+        if first == last:
+            return st.just(first)
+        return st.integers(first, last - 1).flatmap(lambda cut: st.tuples(
+            st.sampled_from(["f", "g"]), shape(first, cut), shape(cut + 1, last)))
+    return st.tuples(shape(1, arity), st.sampled_from([1, -1]))
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.lists(st.integers(1, 4).flatmap(lambda n: st.lists(_member(n), min_size=1,
+                                                               max_size=4)),
+                max_size=3))
+def test_presentation_json_round_trips_signed_members(relations):
+    p = Presentation(["f", "g"], "planar", relations)
+    data = p.to_json()
+    assert all(text.startswith("-") == (sign < 0) for relation, texts in
+               zip(relations, data["relations"]) for (_, sign), text in zip(relation, texts))
+    assert Presentation.from_json(data) == p
+    unsigned = {**data, "relations": [[text.removeprefix("-") for text in texts]
+                                      for texts in data["relations"]]}
+    assert Presentation.from_json(unsigned).relations == tuple(
+        tuple((t, 1) for t, _ in relation) for relation in p.relations)
 
 
 def test_unknown_preset():
