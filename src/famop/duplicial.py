@@ -23,8 +23,8 @@ from types import SimpleNamespace
 
 from . import trees
 from .errors import LAW_BUDGET, PreconditionError, ResourceBoundError
-from .omega import (GENERATOR_OPS, RELATIONS, OmegaStructure, first_violation,
-                    passes, tables_by_op)
+from .omega import (GENERATOR_OPS, RELATIONS, OmegaStructure, _tables_of, compile_laws,
+                    first_violation, passes)
 from .report import LawReport
 from .trees import Node, serialize
 
@@ -120,12 +120,10 @@ def _succ1_raw(t, w, u, ops):
 
 def _require_kind(o: OmegaStructure, kind: str):
     """A parameter structure of ``kind``, ``duplicial`` or ``edus``."""
-    edus = kind == "edus"
-    if not isinstance(o, OmegaStructure) or edus and not o.has_triangles:
-        raise PreconditionError(f"an OmegaStructure{' with triangle tables' * edus} is required")
+    _tables_of(o, kind)
     if not passes(o, kind):
         raise PreconditionError(f"parameter structure must satisfy the "
-                                f"{'extended ' * edus}duplicial laws")
+                                f"{'extended ' * (kind == 'edus')}duplicial laws")
 
 
 def _require_operands(o: OmegaStructure, kind: str, edge, *ts):
@@ -237,6 +235,7 @@ _MODE_LAWS = {mode: tuple((f"{prefix}{n}", _tree_law(relation, mode)) for n, rel
               for mode, prefix in (("two_param", "TP"), ("graded", "G"))}
 _MODE_LAWS["one_param"] = (("OP1", _law_op1), ("OP2", _law_op2), ("OP3", _law_op3))
 _MODE_PARAMS = {"two_param": 3, "one_param": 2}
+_MODE_KINDS = {"two_param": "duplicial", "one_param": "edus", "graded": "edus"}  # tables read
 _PARAMS = ("pa", "pb", "pc")  # the symbolic parameters of x, y and z
 
 
@@ -320,6 +319,13 @@ def _obligations(mode: str, max_vertices: int) -> tuple[_Obligation, ...]:
                         if graded:
                             seen[terms].uses.append(((s0, t0, u0), law_id, tuple(mapping)))
     return tuple(seen.values())
+
+
+@lru_cache(maxsize=16)
+def _verdict(mode: str, max_vertices: int):
+    """The compiled check ``(ops, check)`` of every obligation at once, held
+    so that a call neither rebuilds nor hashes the tuple of their laws."""
+    return compile_laws(tuple(ob.law for ob in _obligations(mode, max_vertices)))
 
 
 def _reproduce(law, args, o: OmegaStructure):
@@ -447,26 +453,23 @@ def check_axioms(mode: str, o: OmegaStructure, x_size: int = 1,
     ``one_param`` the three one-parameter laws on single-typed trees, and
     ``graded`` the classical duplicial laws on tree-color pairs with the
     triangle-indexed products and arrow-composed colors.  The structure
-    only needs the tables the mode reads; it may well fail its own laws,
-    which is what the report then exhibits.
+    needs the tables of the mode's kind in ``_MODE_KINDS``; it may well fail
+    its laws, which is what the report then exhibits.
 
     One compiled call over all obligations decides; only a failing structure
     is walked (``graded``: scanned) for its report.  Building the obligations
     or a failing scan past ``LAW_BUDGET`` law runs raises ``ResourceBoundError``.
     """
-    if not isinstance(o, OmegaStructure):
-        raise PreconditionError("an OmegaStructure is required")
-    if mode in ("one_param", "graded") and not o.has_triangles:
-        raise PreconditionError(f"mode {mode!r} requires triangle tables")
     if mode not in _MODE_LAWS:
         raise ValueError(f"unknown mode {mode!r}")
+    tables = _tables_of(o, _MODE_KINDS[mode])
     if max_vertices < 1:
         raise ValueError("max_vertices must be at least 1")
     if x_size < 1:
         raise ValueError("x_size must be at least 1")
     obligations = _obligations(mode, max_vertices)
-    tables = tables_by_op(o, ("la", "ra", "lt", "rt") if o.has_triangles else ("la", "ra"))
-    if first_violation(tuple(ob.law for ob in obligations), tables, o.size) is None:
+    ops, check = _verdict(mode, max_vertices)
+    if check(None, o.size, *[tables[op] for op in ops]) is None:
         counts = ({"instances": _graded_instances(max_vertices, x_size, o.size)}
                   if mode == "graded" else {"obligations": len(obligations)})
         return LawReport(kind=mode, details=counts | {"max_vertices": max_vertices})

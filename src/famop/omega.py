@@ -25,8 +25,6 @@ from .report import LawReport
 
 Table = tuple[tuple[int, ...], ...]
 
-MAGMA_KINDS = ("associative", "twist_associative", "napnapprime", "perm")
-
 
 # ---------------------------------------------------------------------------
 # Carriers
@@ -197,6 +195,21 @@ def serialize_term(t) -> str:
     return f"({t[0]} {serialize_term(t[1])} {serialize_term(t[2])})"
 
 
+def subterms(terms) -> list:
+    """Every product subterm of ``terms`` once, operands first."""
+    seen: dict = {}
+
+    def visit(term):
+        if isinstance(term, tuple) and term not in seen:
+            visit(term[1])
+            visit(term[2])
+            seen[term] = None
+
+    for term in terms:
+        visit(term)
+    return list(seen)
+
+
 def monomials(relation) -> list:
     """The terms of a relation's members, in order, signs dropped."""
     return [term for term, _ in relation]
@@ -232,6 +245,11 @@ class Presentation:
                 raise PreconditionError("a relation member is a pair (term, sign), "
                                         "the sign 1 or -1")
             for t in monomials(relation):
+                unknown = {node[0] for node in subterms([t])} - set(self.generators)
+                if unknown:
+                    raise PreconditionError(f"relation member {serialize_term(t)} applies "
+                                            f"{', '.join(map(repr, sorted(unknown)))}, "
+                                            "which is not a generator")
                 leaves = term_leaves(t)
                 planar_order = self.mode == "planar" and leaves != sorted(leaves)
                 if len(set(leaves)) < len(leaves) or planar_order:
@@ -307,21 +325,6 @@ GENERATOR_OPS = {"prec": "la", "succ": "ra", "rhd": "mul", "mul": "mul"}
 # 0..k-1 names a variable, a tuple (op, l, r) applies an operation table.
 
 
-def subterms(terms) -> list:
-    """Every product subterm of ``terms`` once, operands first."""
-    seen: dict = {}
-
-    def visit(term):
-        if isinstance(term, tuple) and term not in seen:
-            visit(term[1])
-            visit(term[2])
-            seen[term] = None
-
-    for term in terms:
-        visit(term)
-    return list(seen)
-
-
 def law_term(term, ops=None):
     """A term over leaves 1..n as a compiler term over variables 0..n-1,
     each generator renamed through ``ops`` when given."""
@@ -359,6 +362,17 @@ def _kind_laws() -> dict:
 
 KIND_LAWS = _kind_laws()
 
+
+def law_tables(law) -> frozenset:
+    """The tables that a law ``(id, lhs, rhs)`` applies."""
+    return frozenset(term[0] for term in subterms(law[1:]))
+
+
+# The tables that each kind's laws apply, in name order.
+_KIND_TABLES = {kind: tuple(sorted({op for law in laws for op in law_tables(law)}))
+               for kind, laws in KIND_LAWS.items()}
+MAGMA_KINDS = tuple(kind for kind, ops in _KIND_TABLES.items() if ops == ("mul",))
+
 _OP_FIELDS = {"la": "left_arrow", "ra": "right_arrow", "lt": "left_tri",
               "rt": "right_tri", "mul": "table"}
 
@@ -380,17 +394,12 @@ def tables_by_op(s, names) -> dict:
 
 
 def _tables_of(s, kind: str) -> dict:
-    if kind in MAGMA_KINDS:
-        if not isinstance(s, Magma):
-            raise PreconditionError(f"kind {kind!r} requires a Magma")
-        return tables_by_op(s, ("mul",))
-    if not isinstance(s, OmegaStructure):
-        raise PreconditionError(f"kind {kind!r} requires an OmegaStructure")
-    if kind != "edus":
-        return tables_by_op(s, ("la", "ra"))
-    if not s.has_triangles:
-        raise PreconditionError("kind 'edus' requires both triangle tables")
-    return tables_by_op(s, ("la", "ra", "lt", "rt"))
+    """The tables of ``s`` that the laws of ``kind`` apply."""
+    cls = Magma if kind in MAGMA_KINDS else OmegaStructure
+    if not isinstance(s, cls):
+        raise PreconditionError(f"kind {kind!r} requires a{'n' * (cls is OmegaStructure)} "
+                                f"{cls.__name__}")
+    return tables_by_op(s, _KIND_TABLES[kind])
 
 
 def eval_term(term, tables: dict, env):
@@ -527,7 +536,10 @@ def edus_passes(la: Table, ra: Table, lt: Table, rt: Table, size: int) -> bool:
 
 
 def size_bound(force: bool = False) -> int:
-    bound = int(os.environ.get("FAMOP_MAX_SIZE", "3"))
+    text = os.environ.get("FAMOP_MAX_SIZE", "3")
+    if not _digits(text):
+        raise ValueError(f"FAMOP_MAX_SIZE {text!r} is not ASCII digits")
+    bound = int(text)
     if force:
         bound = max(bound, 4)
     return bound
@@ -569,11 +581,6 @@ def _search_single(size: int, laws, op: str, context: dict | None = None):
 @lru_cache(maxsize=16)
 def _assoc_tables(size: int) -> tuple[Table, ...]:
     return tuple(_search_single(size, KIND_LAWS["associative"], "mul"))
-
-
-def _laws(*ids: str) -> tuple:
-    return tuple(law for law in KIND_LAWS["diassociative"] + KIND_LAWS["edus"]
-                 if law[0] in ids)
 
 
 def _row_local(term, op: str, var: int) -> bool:
@@ -650,12 +657,12 @@ def enumerate_structures(size: int, kind: str, force: bool = False) -> list:
                   else _search_single(size, KIND_LAWS[kind], "mul"))
         return [_trusted(Magma, size, t) for t in tables]
 
-    pairs = _arrow_pairs(size, _laws("D2", "D3", "D4", "D5") if kind == "diassociative"
-                         else _laws("U2"))
-    if kind != "edus":
+    laws = KIND_LAWS[kind]
+    pairs = _arrow_pairs(size, tuple(law for law in laws if law_tables(law) == {"la", "ra"}))
+    lt_laws, rt_laws = (tuple(law for law in laws if op in law_tables(law)) for op in ("lt", "rt"))
+    if not lt_laws:
         return [_trusted(OmegaStructure, size, l, r, None, None) for l, r in pairs]
 
-    lt_laws, rt_laws = _laws("E00", "E1", "E2"), _laws("E0", "E3", "E4")
     out = []
     for left, right in pairs:
         arrows = {"la": left, "ra": right}

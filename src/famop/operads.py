@@ -14,8 +14,8 @@ import math
 from dataclasses import dataclass
 
 from . import presentations
-from .errors import LAW_BUDGET, ResourceBoundError
-from .omega import TwistedMonomial, twisted_product
+from .errors import LAW_BUDGET, PreconditionError, ResourceBoundError
+from .omega import TwistedMonomial, _json_fields, twisted_product
 from .report import LawReport
 
 
@@ -248,18 +248,39 @@ def element_to_json(x) -> dict:
     raise TypeError(f"no JSON encoding for {type(x).__name__}")
 
 
+def _label(value, what: str):
+    """``value``, a label: a JSON scalar, so that it hashes."""
+    if isinstance(value, (list, dict)):
+        raise PreconditionError(f"{what} {value!r} is not a label")
+    return value
+
+
+def _labels(values, what: str, length: int | None = None) -> list:
+    """``values``, a JSON list of labels, ``length`` of them when given."""
+    if not isinstance(values, list) or length not in (None, len(values)):
+        raise PreconditionError(f"{what} {values!r} is not a list of "
+                                f"{f'{length} ' if length else ''}labels")
+    return [_label(v, f"{what} label") for v in values]
+
+
 def element_from_json(which: str, data: dict):
+    what = f"{which} element"
     if which == "pairs":
-        value = data["v"]
-        return PairElement(frozenset(data["A"]),
-                           None if value == "unit" else tuple(value))
+        carrier, value = _json_fields(data, what, "A", "v")
+        return PairElement(frozenset(_labels(carrier, "carrier")),
+                           None if value == "unit" else tuple(_labels(value, "value", 2)))
     if which == "corollas":
-        return Corolla(data["root"],
-                       frozenset(frozenset(b) for b in data["branches"]))
+        root, branches = _json_fields(data, what, "root", "branches")
+        if not isinstance(branches, list):
+            raise PreconditionError(f"branches {branches!r} is not a list")
+        return Corolla(_label(root, "root"),
+                       frozenset(frozenset(_labels(b, "branch")) for b in branches))
     if which == "perm":
-        return PermPoint(frozenset(data["A"]), data["v"])
+        carrier, value = _json_fields(data, what, "A", "v")
+        return PermPoint(frozenset(_labels(carrier, "carrier")), _label(value, "value"))
     if which == "orders":
-        return LinearOrder(tuple(data["order"]))
+        (order,) = _json_fields(data, what, "order")
+        return LinearOrder(tuple(_labels(order, "order")))
     raise ValueError(f"unknown operad {which!r}")
 
 

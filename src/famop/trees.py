@@ -17,7 +17,7 @@ import math
 import re
 from dataclasses import dataclass
 
-from .errors import ParseError, ResourceBoundError
+from .errors import ParseError, PreconditionError, ResourceBoundError
 from .omega import _digits, _json_fields
 
 Leaf = None
@@ -181,6 +181,12 @@ def serialize(t: Tree) -> str:
 MAX_DEPTH = 200
 
 _TOKEN = re.compile(r"[()]|[^\s()]+")
+_WORD = re.compile(r"[^\s()]+")
+
+
+def _decoration(text) -> bool:
+    """Whether ``text`` is a decoration: one word, not ``.``, ``_`` or ``._``."""
+    return isinstance(text, str) and _WORD.fullmatch(text) is not None and text not in "._"
 
 
 class Bracketed:
@@ -251,7 +257,7 @@ def parse(text: str) -> Tree:
             raise src.error(part, f"expected '(' or '_', got {src.tokens[part]!r}")
         dec, lt, rt, left, right = src.fields(part, 5)
         dec_text = src.word(dec, "decoration")
-        if dec_text in "._":
+        if not _decoration(dec_text):
             raise src.error(dec, f"bad decoration {dec_text!r}")
         left, right = node(left), node(right)
         lt, rt = _parse_type(src, lt), _parse_type(src, rt)
@@ -276,9 +282,21 @@ def to_json(t: Tree):
             "left": to_json(t.left), "right": to_json(t.right)}
 
 
+def _json_type(value):
+    """An edge type from JSON: null, a non-negative int or a list of two."""
+    values = value if isinstance(value, list) and len(value) == 2 else [value]
+    if value is not None and not all(type(v) is int and v >= 0 for v in values):
+        raise PreconditionError(f"edge type {value!r} is not null, a non-negative "
+                                "integer or a list of two")
+    return tuple(value) if isinstance(value, list) else value
+
+
 def from_json(data) -> Tree:
+    """The tree of ``to_json``; only trees that ``serialize`` writes and
+    ``parse`` reads back are accepted."""
     if data is None:
         return Leaf
     dec, lt, rt, left, right = _json_fields(data, "tree", "dec", "lt", "rt", "left", "right")
-    lt, rt = (tuple(v) if isinstance(v, list) else v for v in (lt, rt))
-    return Node(dec, lt, from_json(left), rt, from_json(right))
+    if not _decoration(dec):
+        raise PreconditionError(f"decoration {dec!r} is not a word of the tree grammar")
+    return Node(dec, _json_type(lt), from_json(left), _json_type(rt), from_json(right))

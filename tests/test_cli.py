@@ -384,6 +384,14 @@ def test_env_override_raises_bound(capsys, monkeypatch):
     assert code == 3
 
 
+@pytest.mark.parametrize("value", ["1_0", "\u0663", "+4", " 4", "-1", ""])
+def test_max_size_override_is_ascii_digits(capsys, monkeypatch, value):
+    monkeypatch.setenv("FAMOP_MAX_SIZE", value)
+    code, out, err = run(capsys, ["omega", "enumerate", "--size", "3", "--kind", "perm"])
+    assert (code, out) == (2, "")
+    assert "FAMOP_MAX_SIZE" in err
+
+
 def test_usage_error_exit_code(capsys):
     with pytest.raises(SystemExit) as exc:
         cli.main(["omega", "check", "--kind", "bogus", "--input", "x.json"])

@@ -224,22 +224,34 @@ def test_one_verdict_call_reports_like_the_per_obligation_walk():
 
 
 def test_a_passing_structure_makes_one_compiled_call(monkeypatch):
-    calls = []
+    compiled, verdicts, walks = [], [], []
 
-    def counting(*args, **kwargs):
-        calls.append(args[0])
+    def counting_compile(laws):
+        ops, check = omega.compile_laws(laws)
+        compiled.append(laws)
+        return ops, lambda *args: verdicts.append(laws) or check(*args)
+
+    def counting_walk(*args, **kwargs):
+        walks.append(args[0])
         return omega.first_violation(*args, **kwargs)
 
-    monkeypatch.setattr(duplicial, "first_violation", counting)
-    for mode, s in (("two_param", PROJ2), ("one_param", EDUS2[0]), ("graded", EDUS2[0])):
-        for first in (False, True):
-            calls.clear()
-            assert check_axioms(mode, s, max_vertices=3, first_witness_only=first).passed
-            assert len(calls) == 1
-            assert len(calls[0]) == len(duplicial._obligations(mode, 3))
-    calls.clear()
-    assert not check_axioms("one_param", NON_EDUS, max_vertices=3).passed
-    assert len(calls) == 1 + len(duplicial._obligations("one_param", 3))
+    duplicial._verdict.cache_clear()
+    monkeypatch.setattr(duplicial, "compile_laws", counting_compile)
+    monkeypatch.setattr(duplicial, "first_violation", counting_walk)
+    try:
+        for mode, s in (("two_param", PROJ2), ("one_param", EDUS2[0]), ("graded", EDUS2[0])):
+            laws = tuple(ob.law for ob in duplicial._obligations(mode, 3))
+            for first in (False, True):
+                verdicts.clear()
+                assert check_axioms(mode, s, max_vertices=3, first_witness_only=first).passed
+                assert verdicts == [laws] and walks == []
+            assert compiled.count(laws) == 1  # compiled by the first check, then held
+        verdicts.clear()
+        assert not check_axioms("one_param", NON_EDUS, max_vertices=3).passed
+        assert len(verdicts) == 1
+        assert walks == [(ob.law,) for ob in duplicial._obligations("one_param", 3)]
+    finally:
+        duplicial._verdict.cache_clear()  # drop the counting checkers
 
 
 # --- the tree laws from the duplicial relation against literal ones -----------
@@ -445,6 +457,14 @@ def test_check_axioms_mode_validation():
         check_axioms("one_param", PROJ2)
     with pytest.raises(ValueError):
         check_axioms("nonsense", EDUS2[0])
+    magma = omega.Magma(2, [[0, 0], [0, 0]])
+    with pytest.raises(ValueError):
+        check_axioms("nonsense", magma)  # the mode is checked first
+    for mode in ("two_param", "one_param", "graded"):
+        with pytest.raises(PreconditionError):
+            check_axioms(mode, magma)
+    with pytest.raises(PreconditionError):  # before the over-budget obligations
+        check_axioms("graded", PROJ2, max_vertices=5)
     for max_vertices in (0, -1):
         with pytest.raises(ValueError):
             check_axioms("two_param", PROJ2, max_vertices=max_vertices)

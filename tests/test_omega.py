@@ -320,6 +320,42 @@ def test_row_local_marks_exactly_the_one_row_laws():
     assert marked == ["D3", "U2"]
 
 
+def test_the_search_plans_are_read_off_the_kind_laws(monkeypatch):
+    assert omega.MAGMA_KINDS == ("associative", "twist_associative", "napnapprime", "perm")
+    arrow_pairs, search_single = omega._arrow_pairs, omega._search_single
+    seen: dict = {}  # search -> the laws it was given, each time
+
+    def join(size, laws):
+        seen.setdefault("join", set()).add(laws)
+        return arrow_pairs(size, laws)
+
+    def single(size, laws, op, context=None):
+        seen.setdefault(op, set()).add(laws)
+        return search_single(size, laws, op, context)
+
+    monkeypatch.setattr(omega, "_arrow_pairs", join)
+    monkeypatch.setattr(omega, "_search_single", single)
+    plans = {}
+    for kind, count in (("diassociative", 13), ("duplicial", 27), ("edus", 205)):
+        seen.clear()
+        assert len(enumerate_structures(2, kind)) == count
+        assert all(len(laws) == 1 for laws in seen.values())  # one plan per search
+        plans[kind] = [next(iter(seen[op])) for op in ("join", "lt", "rt") if op in seen]
+    ids = {kind: [[law[0] for law in laws] for laws in plan] for kind, plan in plans.items()}
+    assert ids == {"diassociative": [["D2", "D3", "D4", "D5"]], "duplicial": [["U2"]],
+                   "edus": [["U2"], ["E00", "E1", "E2"], ["E0", "E3", "E4"]]}
+    for kind, plan in plans.items():
+        assert all(law in KIND_LAWS[kind] for laws in plan for law in laws)
+        # The join draws both arrows from ``_assoc_tables``: every arrow law it
+        # leaves out must be the associativity of one arrow.
+        for law in KIND_LAWS[kind]:
+            if omega.law_tables(law) <= {"la", "ra"} and law not in plan[0]:
+                (op,) = omega.law_tables(law)
+                assert {law[1], law[2]} == {(op, (op, 0, 1), 2), (op, 0, (op, 1, 2))}
+    assert not any({"lt", "rt"} <= omega.law_tables(law)
+                   for laws in KIND_LAWS.values() for law in laws)
+
+
 _tables_3 = st.one_of(
     st.sampled_from(ASSOC_3),
     st.lists(st.tuples(*[st.integers(0, 2)] * 3), min_size=3, max_size=3).map(tuple))

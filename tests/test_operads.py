@@ -5,7 +5,7 @@ import time
 import pytest
 
 from famop import operads, presentations
-from famop.errors import ResourceBoundError
+from famop.errors import PreconditionError, ResourceBoundError
 from famop.omega import NatMultiset, TwistedMonomial, multiset_product
 from famop.operads import (Corolla, LinearOrder, PairElement, PermPoint,
                            binary_product, check_operad_laws, corolla_compose,
@@ -359,6 +359,18 @@ def test_element_json_roundtrip():
     for which, x in samples:
         data = operads.element_to_json(x)
         assert operads.element_from_json(which, data) == x
+
+
+@pytest.mark.parametrize("which,data", [
+    ("pairs", {}), ("corollas", {"root": 1}), ("pairs", {"A": 5, "v": "unit"}),
+    ("orders", {"order": 5}), ("pairs", {"A": [1, 2], "v": [1]}),
+    ("pairs", {"A": [[1]], "v": "unit"}), ("corollas", {"root": [1], "branches": []}),
+    ("corollas", {"root": 1, "branches": 5}), ("corollas", {"root": 1, "branches": [5]}),
+    ("perm", {"A": [1], "v": {}}), ("perm", [1]), ("orders", None),
+])
+def test_malformed_element_json_raises_precondition_error(which, data):
+    with pytest.raises(PreconditionError):
+        operads.element_from_json(which, data)
 
 
 def test_monomial_eval_is_a_product_homomorphism():

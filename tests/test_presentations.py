@@ -335,6 +335,8 @@ def test_the_presentation_defines_the_parameter_structure(name, passing):
     {"generators": ["f"], "mode": "planar", "relations": [[("f", 1, 2)]]},
     {"generators": 5, "mode": "planar", "relations": []},
     {"generators": ["f"], "mode": "planar", "relations": [["(f 1 2)", "(f 2 1)"]]},
+    {"generators": ["f"], "mode": "planar", "relations": [["(g (g 1 2) 3)", "(g 1 (g 2 3))"]]},
+    {"generators": ["f"], "mode": "planar", "relations": [["(f (f 1 2) 3)", "(f 1 (g 2 3))"]]},
 ])
 def test_malformed_presentation_json_raises_precondition_error(data):
     with pytest.raises(PreconditionError):
@@ -345,6 +347,12 @@ def test_malformed_presentation_json_raises_precondition_error(data):
 def test_relation_members_repeating_a_leaf_are_refused(mode):
     with pytest.raises(PreconditionError):
         Presentation(["f", "g"], mode, [[(("f", 1, 1), 1), (("g", 1, 1), 1)]])
+
+
+@pytest.mark.parametrize("member", [("g", 1, 2), ("f", ("f", 1, 2), ("g", 3, 4))])
+def test_relation_members_over_unknown_generators_are_refused(member):
+    with pytest.raises(PreconditionError, match="g"):
+        Presentation(["f"], "planar", [[(("f", 1, 2), 1), (member, 1)]])
 
 
 def test_non_homogeneous_relations_warn():

@@ -160,6 +160,16 @@ _X = {"dec": "x", "lt": None, "rt": None, "left": None, "right": None}
     ({**_X, "lt": 1}, ValueError),
     ({**_X, "lt": [1, 2], "left": _X, "rt": 3, "right": _X}, ValueError),
     ({**_X, "rt": 0, "right": {**_X, "rt": [0, 0], "right": _X}}, ValueError),
+    # Only trees that ``parse(serialize(t))`` gives back.
+    ({**_X, "lt": [0], "left": _X}, PreconditionError),
+    ({**_X, "lt": [0, 1, 2], "left": _X}, PreconditionError),
+    ({**_X, "dec": 5}, PreconditionError),
+    ({**_X, "lt": True, "left": _X}, PreconditionError),
+    ({**_X, "lt": 0.5, "left": _X}, PreconditionError),
+    ({**_X, "dec": "a b"}, PreconditionError),
+    ({**_X, "lt": -1, "left": _X}, PreconditionError),
+    ({**_X, "dec": "._"}, PreconditionError),
+    ({**_X, "rt": [0, None], "right": _X}, PreconditionError),
 ])
 def test_malformed_tree_json_raises_a_typed_error(data, error):
     with pytest.raises(error):
