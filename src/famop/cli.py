@@ -15,7 +15,7 @@ import json
 import sys
 
 from . import omega
-from .errors import FamopError, ParseError, PreconditionError, ResourceBoundError
+from .errors import FamopError, PreconditionError, ResourceBoundError
 
 
 def _integer(text: str) -> int:
@@ -47,12 +47,15 @@ def _emit(payload: dict, summary: str) -> None:
     print(summary, file=sys.stderr)
 
 
+def _report(report, summary: str) -> int:
+    """Emit a law report with its verdict after ``summary``; exit 0 if it passed, else 1."""
+    _emit(report.to_json(), f"{summary}: {'passed' if report.passed else 'FAILED'}")
+    return 0 if report.passed else 1
+
+
 def _cmd_omega_check(args) -> int:
     s = _load_structure(args.input)
-    report = omega.check_laws(s, args.kind)
-    _emit(report.to_json(),
-          f"omega check {args.kind}: {'passed' if report.passed else 'FAILED'}")
-    return 0 if report.passed else 1
+    return _report(omega.check_laws(s, args.kind), f"omega check {args.kind}")
 
 
 def _cmd_omega_enumerate(args) -> int:
@@ -84,9 +87,7 @@ def _cmd_family_check(args) -> int:
     s = _load_structure(args.omega)
     report = duplicial.check_axioms(args.mode, s, x_size=args.x_size,
                                     max_vertices=args.max_vertices)
-    _emit(report.to_json(),
-          f"family check {args.mode}: {'passed' if report.passed else 'FAILED'}")
-    return 0 if report.passed else 1
+    return _report(report, f"family check {args.mode}")
 
 
 _OPERAD_NAMES = {"twist": "pairs", "corolla": "corollas", "perm": "perm"}
@@ -95,18 +96,13 @@ _OPERAD_NAMES = {"twist": "pairs", "corolla": "corollas", "perm": "perm"}
 def _cmd_operad_check(args) -> int:
     from . import operads
     report = operads.check_operad_laws(_OPERAD_NAMES[args.which], args.max)
-    _emit(report.to_json(),
-          f"operad check {args.which}: {'passed' if report.passed else 'FAILED'}")
-    return 0 if report.passed else 1
+    return _report(report, f"operad check {args.which}")
 
 
 def _cmd_operad_iso(args) -> int:
     from . import operads
-    report = operads.psi_phi_roundtrip(args.max_arity)
-    _emit(report.to_json(),
-          f"operad iso up to arity {args.max_arity}: "
-          f"{'passed' if report.passed else 'FAILED'}")
-    return 0 if report.passed else 1
+    return _report(operads.psi_phi_roundtrip(args.max_arity),
+                   f"operad iso up to arity {args.max_arity}")
 
 
 def _cmd_present_quotient(args) -> int:
@@ -265,8 +261,7 @@ def main(argv=None) -> int:
         print(json.dumps({"error": str(exc)}))
         print(f"resource bound: {exc}", file=sys.stderr)
         return 3
-    except (PreconditionError, ParseError, FamopError, OSError,
-            json.JSONDecodeError, ValueError, RecursionError) as exc:
+    except (FamopError, OSError, ValueError, RecursionError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
 

@@ -181,14 +181,19 @@ _PRODUCTS = {"two_param": {"prec": _prec2_raw, "succ": _succ2_raw},
                         "succ": lambda s, t, p, q, ops: _succ1_raw(s, ops.rt(p, q), t, ops)}}
 
 
+def _node(mode: str, gen: str, x, p, y, q, ops) -> tuple:
+    """A family node: operands ``x`` and ``y`` carrying parameters p and q give
+    the mode's product at (p, q) and its grade, the generator's arrow at (p, q)."""
+    return _PRODUCTS[mode][gen](x, y, p, q, ops), getattr(ops, GENERATOR_OPS[gen])(p, q)
+
+
 def _tree_law(relation, mode: str):
     """The law of one duplicial relation on typed trees, in ``two_param``
     or ``graded`` mode.
 
-    A variable is a tree with its parameter; a node whose operands carry p
-    and q runs the mode's product at (p, q) and carries its grade, the
-    generator's arrow at (p, q).  A graded side is its tree hung below a
-    root edge typed by its grade, so grades compare as edge types do."""
+    A variable is a tree with its parameter and a product a ``_node``.  A
+    graded side is its tree hung below a root edge typed by its grade, so
+    grades compare as edge types do."""
     (lhs, _), (rhs, _) = relation
 
     def law(s, t, u, a, b, c, ops):
@@ -198,9 +203,7 @@ def _tree_law(relation, mode: str):
             if isinstance(term, int):
                 return leaves[term]
             gen, left, right = term
-            (x, p), (y, q) = value(left), value(right)
-            return (_PRODUCTS[mode][gen](x, y, p, q, ops),
-                    getattr(ops, GENERATOR_OPS[gen])(p, q))
+            return _node(mode, gen, *value(left), *value(right), ops)
 
         if mode == "two_param":
             return value(lhs)[0], value(rhs)[0]
@@ -243,11 +246,18 @@ _PARAMS = ("pa", "pb", "pc")  # the symbolic parameters of x, y and z
 # Symbolic obligations
 
 
+def _edge_names(prefix: str, pair: bool):
+    """The symbolic types of a tree's edges in ``_retype`` order: the k-th is
+    ``{prefix}{k}``, or the pair of ``{prefix}{k}f`` and ``{prefix}{k}s``."""
+    return ((f"{prefix}{k}f", f"{prefix}{k}s") if pair else f"{prefix}{k}"
+            for k in itertools.count())
+
+
 @dataclass(frozen=True)
 class _Obligation:
     law: tuple  # (law id, lhs, rhs) as omega terms
     var_names: tuple  # the symbolic name of each term variable
-    origin: tuple  # (s_sym, t_sym, u_sym, param names)
+    origin: tuple  # the symbolic operands (s, t, u); their parameters are _PARAMS
     uses: list  # graded only: every (shapes, law id, var_names)
 
 
@@ -291,33 +301,26 @@ def _obligations(mode: str, max_vertices: int) -> tuple[_Obligation, ...]:
         raise ResourceBoundError(f"{mode} obligations at max_vertices {max_vertices}: over budget")
 
     def fresh(t, prefix: str):
-        """``t`` with its k-th edge typed by the variable ``{prefix}{k}``,
-        or by the pair of ``{prefix}{k}f`` and ``{prefix}{k}s``."""
-        names = ((f"{prefix}{k}f", f"{prefix}{k}s") if pair else f"{prefix}{k}"
-                 for k in itertools.count())
+        names = _edge_names(prefix, pair)
         return _retype(t, lambda _: next(names))
 
+    # Each position's operands, every shape with its edges typed by that position's names.
+    operands = [[(t, fresh(t, prefix)) for t in shapes] for prefix in "stu"]
     seen: dict = {}  # (lhs, rhs) -> its obligation
-    for s0 in shapes:
-        s = fresh(s0, "s")
-        for t0 in shapes:
-            t = fresh(t0, "t")
-            for u0 in shapes:
-                u = fresh(u0, "u")
-                for law_id, law in _MODE_LAWS[mode]:
-                    lhs, rhs = law(s, t, u, *_PARAMS, _SYM)
-                    pairs: list = []
-                    _collect_type_pairs(lhs, rhs, pairs)
-                    for e1, e2 in pairs:
-                        if e1 == e2:
-                            continue
-                        mapping: dict = {}
-                        terms = (_rename(e1, mapping), _rename(e2, mapping))
-                        if terms not in seen:
-                            seen[terms] = _Obligation(
-                                (law_id,) + terms, tuple(mapping), (s, t, u, _PARAMS), [])
-                        if graded:
-                            seen[terms].uses.append(((s0, t0, u0), law_id, tuple(mapping)))
+    for (s0, s), (t0, t), (u0, u) in itertools.product(*operands):
+        for law_id, law in _MODE_LAWS[mode]:
+            lhs, rhs = law(s, t, u, *_PARAMS, _SYM)
+            pairs: list = []
+            _collect_type_pairs(lhs, rhs, pairs)
+            for e1, e2 in pairs:
+                if e1 == e2:
+                    continue
+                mapping: dict = {}
+                terms = (_rename(e1, mapping), _rename(e2, mapping))
+                if terms not in seen:
+                    seen[terms] = _Obligation((law_id,) + terms, tuple(mapping), (s, t, u), [])
+                if graded:
+                    seen[terms].uses.append(((s0, t0, u0), law_id, tuple(mapping)))
     return tuple(seen.values())
 
 
@@ -338,9 +341,8 @@ def _concrete_witness(mode: str, ob: _Obligation, env: dict, o: OmegaStructure):
     def value(e):
         return tuple(map(value, e)) if isinstance(e, tuple) else env.get(e, 0)
 
-    *symbolic, pnames = ob.origin
-    s, t, u = (_retype(x, value) for x in symbolic)
-    ps = tuple(map(value, pnames))
+    s, t, u = (_retype(x, value) for x in ob.origin)
+    ps = tuple(map(value, _PARAMS))
     _reproduce(dict(_MODE_LAWS[mode])[ob.law[0]], (s, t, u, *ps), o)
     return (serialize(s), serialize(t), serialize(u)) + ps[:_MODE_PARAMS[mode]]
 
@@ -372,13 +374,11 @@ class GradedElement:
 
 
 def graded_prec(x: GradedElement, y: GradedElement, e: OmegaStructure) -> GradedElement:
-    return GradedElement(_prec1_raw(x.tree, e.lt(x.color, y.color), y.tree, e),
-                         e.la(x.color, y.color))
+    return GradedElement(*_node("graded", "prec", x.tree, x.color, y.tree, y.color, e))
 
 
 def graded_succ(x: GradedElement, y: GradedElement, e: OmegaStructure) -> GradedElement:
-    return GradedElement(_succ1_raw(x.tree, e.rt(x.color, y.color), y.tree, e),
-                         e.ra(x.color, y.color))
+    return GradedElement(*_node("graded", "succ", x.tree, x.color, y.tree, y.color, e))
 
 
 @lru_cache(maxsize=16)
@@ -399,8 +399,8 @@ def _graded_scan(max_vertices: int, x_size: int, size: int) -> tuple:
         for t in trees.enumerate_trees(n, x_size, size, "single"):
             types: list = []  # in the order that ``_retype`` names them
             _retype(t, lambda e: types.append(e) or e)
-            elements += [(t, c, _shape(t), [{f"{p}{k}": v for k, v in enumerate(types)}
-                                            | {param: c} for p, param in zip("stu", _PARAMS)])
+            elements += [(t, c, _shape(t), [dict(zip(_edge_names(p, False), types)) | {param: c}
+                                            for p, param in zip("stu", _PARAMS)])
                          for c in range(size)]
     uses: dict = {}
     for i, ob in enumerate(_obligations("graded", max_vertices)):

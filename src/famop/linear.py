@@ -28,7 +28,7 @@ from operator import add, neg, sub
 
 from . import omega as omega_mod
 from .errors import PreconditionError
-from .omega import RELATIONS, monomials, subterms
+from .omega import RELATIONS, monomials, subterms, term_arity
 from .report import LawReport
 
 Vec = tuple  # coefficient tuple over the basis
@@ -108,9 +108,17 @@ class FamilyBilinear:
                 isinstance(raw, dict) and all(isinstance(v, dict) for v in raw.values())):
             raise PreconditionError("a family needs integers dim and omega_size and "
                                     "ops mapping each name to an object")
-        ops = {name: {tuple(int(v) for v in key.strip("()").split(",")): cube
-                      for key, cube in by_param.items()} for name, by_param in raw.items()}
+        ops = {name: {_param_key(key): cube for key, cube in by_param.items()}
+               for name, by_param in raw.items()}
         return cls(dim, omega_size, ops)
+
+
+def _param_key(key: str) -> tuple:
+    """The parameter pair of a family JSON key ``"(a,b)"``, a and b ASCII digits."""
+    pair = key[1:-1].split(",") if isinstance(key, str) and key[:1] + key[-1:] == "()" else []
+    if len(pair) != 2 or not all(map(omega_mod._digits, pair)):
+        raise PreconditionError(f"family parameter key {key!r} is not of the form '(a,b)'")
+    return tuple(map(int, pair))
 
 
 def zero_family(dim: int, omega_size: int, op_names) -> FamilyBilinear:
@@ -155,16 +163,12 @@ def random_family(dim: int, omega_size: int, op_names, seed: int,
 X, Y, Z = 1, 2, 3
 
 
-def _products(term) -> int:
-    return 0 if isinstance(term, int) else 1 + _products(term[1]) + _products(term[2])
-
-
 def _named(ids, name: str) -> tuple:
     """The relations of ``name`` as laws, each homogeneous for ``_scan``."""
     laws = tuple((law_id, relation[:1], relation[1:])
                  for law_id, relation in zip(ids, RELATIONS[name].relations))
     for law_id, lhs, rhs in laws:
-        if len({_products(term) for term in monomials(lhs + rhs)}) != 1:
+        if len({term_arity(term) for term in monomials(lhs + rhs)}) != 1:
             raise ValueError(f"law {law_id} mixes monomials of different degrees")
     return laws
 

@@ -238,6 +238,12 @@ class Presentation:
         if self.mode not in ("planar", "labeled"):
             raise ValueError("mode must be 'planar' or 'labeled'")
         object.__setattr__(self, "generators", tuple(self.generators))
+        for i, g in enumerate(self.generators):
+            # one word of the term grammar, which ``parse_term`` reads as a generator
+            if not (isinstance(g, str) and g and not any(c.isspace() or c in "()" for c in g)):
+                raise PreconditionError(f"generator {g!r} is not a word of the term grammar")
+            if g in self.generators[:i]:
+                raise PreconditionError(f"generator {g!r} is repeated")
         object.__setattr__(self, "relations", tuple(map(tuple, self.relations)))
         for relation in self.relations:
             if not all(isinstance(m, tuple) and len(m) == 2 and m[1] in (1, -1)

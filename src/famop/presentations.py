@@ -75,7 +75,8 @@ def _relabel(t: Term, mapping: dict) -> Term:
 
 
 def enumerate_terms(p: Presentation, arity: int) -> list[Term]:
-    """Complete canonical list of terms at one arity."""
+    """Complete canonical list of terms at one arity.  A planar shape and a
+    leaf permutation fix a labeled term, so no term repeats."""
     if arity < 1:
         raise ValueError("arity must be >= 1")
     limit = 6 if p.mode == "planar" else 5
@@ -90,7 +91,7 @@ def enumerate_terms(p: Presentation, arity: int) -> list[Term]:
         for perm in itertools.permutations(range(1, arity + 1)):
             mapping = dict(zip(positions, perm))
             out.append(_relabel(t, mapping))
-    return sorted(set(out), key=serialize_term)
+    return sorted(out, key=serialize_term)
 
 
 # ---------------------------------------------------------------------------
@@ -311,9 +312,9 @@ def mixing_filter(p: Presentation, omega_algebra: dict, arity: int,
     coloring = tuple(coloring)
     if len(coloring) != arity:
         raise ValueError("one input color per leaf required")
-    if not all(isinstance(c, int) and 0 <= c < size for c in coloring):
+    if not all(type(c) is int and 0 <= c < size for c in coloring):
         raise ValueError(f"input colors must lie in 0..{size - 1}")
-    if not (isinstance(output, int) and 0 <= output < size):
+    if not (type(output) is int and 0 <= output < size):
         raise ValueError(f"the output color must lie in 0..{size - 1}")
     classes = quotient_classes(p, arity)
     _check_consistency(classes, omega_algebra, size)

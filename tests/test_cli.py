@@ -1,5 +1,6 @@
 """Command-line surface: outputs, exit codes, determinism, what a command loads."""
 import hashlib
+import itertools
 import json
 import os
 import subprocess
@@ -7,6 +8,8 @@ import sys
 import time
 
 import pytest
+from hypothesis import HealthCheck, given, settings
+from hypothesis import strategies as st
 
 import famop
 from famop import cli, omega
@@ -517,3 +520,313 @@ def test_stdout_is_json_on_check_paths(capsys, proj2_file):
                  ["operad", "check", "--which", "perm", "--max", "2"]):
         _, out, _ = run(capsys, argv)
         json.loads(out)
+
+
+# ---------------------------------------------------------------------------
+# Golden output: one SHA-256 per group of in-process ``cli.main`` runs.  Each
+# digest covers, command by command, the exit code and the stdout (a usage
+# error that argparse raises as ``SystemExit`` counts with its code); stderr
+# is not pinned.  The corpus covers every subcommand: passing, failing and
+# malformed inputs, usage errors (exit 2) and refused sizes (exit 3).
+# ``omega enumerate`` runs sizes 1-3 for every kind except ``edus`` at 3,
+# which alone would take about 6 s (63141 structures, 11.7 MB of JSON); its
+# count is pinned in ``tests/test_omega.py``.
+
+_PRESET_NAMES = tuple(_PRESET_STRUCTURES)
+
+# Files that no structure reader accepts, as JSON values or, for str, raw text.
+_MALFORMED = (
+    {"size": 2}, [1, 2], None, "plain", {"size": "2", "table": [[0, 0], [0, 0]]},
+    {"size": 2, "left": 5, "right": [[0, 0], [0, 0]]},
+    {"size": 2, "left": [[0, 0]], "right": [[0, 0], [0, 0]]},
+    {"size": 2, "left": [[0, 2], [0, 0]], "right": [[0, 0], [0, 0]]},
+    {"size": 2, "left": [[0, 1.5], [0, 0]], "right": [[0, 0], [0, 0]]},
+    {"size": 2, "left": [[0, True], [0, 0]], "right": [[0, 0], [0, 0]]},
+    {"size": 2, "left": [[0, 0], [0, 0]], "right": [[0, 0], [0, 0]], "ltri": 5,
+     "rtri": [[0, 0], [0, 0]]},
+    {"size": 2, "table": [1, 2]}, {"size": 0, "table": []},
+    '{"size": 2, "table": [[0, 0], [0', "", "[" * 5000 + "]" * 5000,
+)
+
+
+def _sample(items, count):
+    """``count`` items spread evenly over ``items``, in order."""
+    step = max(1, len(items) // count)
+    return items[::step][:count]
+
+
+def _perturbed(data: dict) -> dict:
+    """The structure with the first cell of its first table moved to the next element."""
+    name = "table" if "table" in data else "left"
+    table = [list(row) for row in data[name]]
+    table[0][0] = (table[0][0] + 1) % data["size"]
+    return {**data, name: table}
+
+
+def _corpus(put) -> dict:
+    """Each group's command lines; ``put(data)`` writes a file and returns its path."""
+    members = {kind: [s.to_json() for s in omega.enumerate_structures(1, kind)] +
+               _sample([s.to_json() for s in omega.enumerate_structures(2, kind)], 6)
+               for kind in sorted(omega.KIND_LAWS)}
+    magmas = [{"size": 2, "table": [list(cells[:2]), list(cells[2:])]}
+              for cells in itertools.product(range(2), repeat=4)]
+    pool = [put(s) for kind in members for s in members[kind]]
+    pool += [put(_perturbed(s)) for kind in members for s in members[kind][1:]]
+    pool += [put(m) for m in magmas] + [put(m) for m in _MALFORMED] + ["missing.json"]
+    groups = {}
+
+    groups["omega check"] = [["omega", "check", "--kind", kind, "--input", path]
+                             for kind in sorted(omega.KIND_LAWS) for path in pool]
+
+    groups["omega enumerate"] = [
+        ["omega", "enumerate", "--size", str(size), "--kind", kind]
+        for kind in sorted(omega.KIND_LAWS) for size in (1, 2, 3)
+        if (kind, size) != ("edus", 3)] + [
+        ["omega", "enumerate", "--size", size, "--kind", kind, *force]
+        for kind in ("associative", "edus") for size in ("0", "-1", "4", "9")
+        for force in ((), ("--force",)) if not (size == "4" and force and kind != "edus")]
+
+    proj2 = put(omega.ds_projections(2).to_json())
+    arrows = [proj2] + [put(s) for s in members["duplicial"][1:4]]
+    non_duplicial = [put(s.to_json()) for s in _sample([
+        s for s in omega.enumerate_structures(2, "diassociative")
+        if not omega.passes(s, "duplicial")], 3)]
+    edus = [put(s) for s in members["edus"][:5]]
+    bad_edus = [put(_perturbed(s)) for s in members["edus"][1:5]]
+    structures = arrows + non_duplicial + edus + bad_edus + [put(magmas[6]), pool[-3]]
+    groups["family check"] = [
+        ["family", "check", "--mode", mode, "--omega", path, "--max-vertices", str(k)]
+        for mode in ("two_param", "one_param", "graded") for k in (1, 2)
+        for path in structures] + [
+        ["family", "check", "--mode", "graded", "--omega", path, "--max-vertices", "1",
+         "--x-size", "2"] for path in edus[:2] + bad_edus[:2]] + [
+        ["family", "check", "--mode", mode, "--omega", edus[1], *extra]
+        for mode in ("two_param", "one_param", "graded")
+        for extra in (("--max-vertices", "0"), ("--max-vertices", "5"), ("--x-size", "0"))]
+
+    pair_trees = ("(x . . _ _)", "(x . 0:1 _ (z . . _ _))", "(y 1:1 . (z . . _ _) _)")
+    single_trees = ("(x . . _ _)", "(x . 1 _ (z . . _ _))", "(y 0 . (z . . _ _) _)")
+    groups["trees product"] = [
+        ["trees", "product", "--mode", mode, "--omega", path, f"--param={a},{b}", left, right]
+        for mode in ("prec2", "succ2") for path in arrows[:2]
+        for a, b in itertools.product(range(2), repeat=2)
+        for left, right in itertools.product(pair_trees, repeat=2)] + [
+        ["trees", "product", "--mode", mode, "--omega", path, f"--param={w}", left, right]
+        for mode in ("prec1", "succ1") for path in edus[1:3] for w in range(2)
+        for left, right in itertools.product(single_trees, repeat=2)] + [
+        ["trees", "product", "--mode", mode, "--omega", path, f"--param={param}", left, right]
+        for mode, path in (("prec2", proj2), ("succ1", edus[1]))
+        for param in ("0", "0,1", "0,5", "-1", "0,1,1")
+        for left, right in (("(x . . _ _)", "(y . . _ _)"), ("(x . 0 _ (z . . _ _))", "_"),
+                            ("(x . . _ _", "(y . . _ _)"))] + [
+        ["trees", "product", "--mode", "prec1", "--omega", path, "--param", "0",
+         "(x . . _ _)", "(y . . _ _)"] for path in (arrows[1], put(magmas[3]), pool[-1])]
+
+    groups["operad"] = [
+        ["operad", "check", "--which", which, "--max", str(bound)]
+        for which in ("corolla", "perm", "twist") for bound in (-1, 0, 1, 2, 3)] + [
+        ["operad", "check", "--which", which, "--max", bound]
+        for which, bound in (("corolla", "6"), ("corolla", "11"), ("perm", "7"),
+                             ("twist", "6"))] + [
+        ["operad", "iso", "--max-arity", str(arity)] for arity in (-1, 0, 1, 2, 3, 4, 6)]
+
+    groups["present"] = [
+        ["present", "quotient", "--preset", name, "--arity", str(arity)]
+        for name in (*_PRESET_NAMES, "nosuch") for arity in (0, 1, 2, 3, 4, 5, 7)]
+    for name in _PRESET_NAMES:
+        own = put(_PRESET_STRUCTURES[name])
+        groups["present"] += [
+            ["present", "mix", "--preset", name, "--omega", path, "--arity", str(arity)]
+            for path in (own, proj2, put(magmas[9]), edus[2]) for arity in (2, 3)]
+        groups["present"] += [
+            ["present", "mix", "--preset", name, "--omega", own, "--arity", "2",
+             "--coloring", f"{a},{b}", "--output", str(out)]
+            for a, b, out in itertools.product(range(2), repeat=3)]
+        groups["present"] += [
+            ["present", "mix", "--preset", name, "--omega", own, "--arity", "2", *extra]
+            for extra in (("--coloring", "0"), ("--coloring", "0,2"), ("--output", "3"),
+                          ("--coloring", "0,1", "--output", "-1"))]
+
+    groups["dims"] = [["dims", "r", "--n", str(n)] for n in range(-1, 14)] + [
+        ["dims", "r", "--n", str(n), "--eval", str(w)] for n in (1, 4, 7) for w in (0, 1, 3)] + [
+        ["dims", "r", "--n", str(n), "--verify"] for n in (1, 5, 12, 20, 65)] + [
+        ["dims", "count", "--n", str(n), "--w", str(w)] for n in range(0, 10)
+        for w in range(0, 6)]
+
+    groups["usage"] = [
+        [], ["omega"], ["omega", "check"], ["omega", "check", "--kind", "nosuch", "--input", proj2],
+        ["omega", "enumerate", "--size", "x", "--kind", "perm"],
+        ["omega", "enumerate", "--size", "1_0", "--kind", "perm"],
+        ["trees", "product", "--mode", "prec3", "--omega", proj2, "--param", "0",
+         "(x . . _ _)", "(y . . _ _)"],
+        ["family", "check", "--mode", "two_param"], ["family", "check", "--mode", "nosuch",
+                                                     "--omega", proj2],
+        ["operad", "check", "--which", "nosuch"], ["operad", "iso", "--max-arity", "+3"],
+        ["present", "mix", "--preset", "duplicial", "--omega", proj2, "--arity", "2",
+         "--coloring", "+0,1"],
+        ["dims", "r"], ["dims", "count", "--n", "٣", "--w", "1"], ["nosuch"]]
+    return groups
+
+
+def _digest(capsys, commands) -> str:
+    """SHA-256 over each command's exit code and stdout, in order."""
+    h = hashlib.sha256()
+    for argv in commands:
+        try:
+            code = cli.main(argv)
+        except SystemExit as exc:
+            code = exc.code
+        h.update(f"{code}\0{capsys.readouterr().out}\0".encode())
+    return h.hexdigest()
+
+
+# Recorded at commit 0e3199f.  A change that keeps the output keeps every digest; one
+# that means to change it records new digests and says why.
+_GOLDEN = {
+    "omega check": "418e864bf3a5ff3c0d4717e6348679463371fca97e151739ae9846c38319f78d",
+    "omega enumerate": "6f26f0da768148c3b1f34af832041e974d1ee7b08995b9b10ecbde79396fa083",
+    "family check": "f457bda3363eed8ba50dd27b9cfce06dcb98849b5bfd7681eb1c7a9bfbf657a2",
+    "trees product": "1dbd7deb74887ed73a56f56442108de5e3ff0fef0ef241e3cf1296911b32c12b",
+    "operad": "854763a21f5d2223669bde5e2caa7fec38bc3aef0fc9435111017814e794b714",
+    "present": "21b54134b82758fcf7fe191913a4130cf984a0c45a6a79989280f5eb9725613b",
+    "dims": "d9e22461d2cc6d30dbb3b40b70f39136d1583c5f63625508ff907828666f7802",
+    "usage": "28476b6baf06eca7534a694bffa6a399af3441ecc647f997fb311e462b6c3329",
+}
+
+
+@pytest.fixture(scope="module")
+def corpus(tmp_path_factory):
+    folder = tmp_path_factory.mktemp("corpus")
+    paths: dict = {}
+
+    def put(data) -> str:
+        text = data if isinstance(data, str) else json.dumps(data)
+        if text not in paths:
+            paths[text] = str(folder / f"f{len(paths)}.json")
+            with open(paths[text], "w", encoding="utf-8") as fh:
+                fh.write(text)
+        return paths[text]
+
+    return _corpus(put)
+
+
+def test_corpus_covers_every_subcommand_with_enough_commands(corpus):
+    assert sum(map(len, corpus.values())) >= 1000
+    ran = {tuple(argv[:2]) for commands in corpus.values() for argv in commands}
+    assert {("omega", "check"), ("omega", "enumerate"), ("trees", "product"),
+            ("family", "check"), ("operad", "check"), ("operad", "iso"),
+            ("present", "quotient"), ("present", "mix"), ("dims", "r"),
+            ("dims", "count")} <= ran
+
+
+@pytest.mark.parametrize("group", sorted(_GOLDEN))
+def test_cli_stdout_and_exit_codes_are_pinned(capsys, corpus, group):
+    assert _digest(capsys, corpus[group]) == _GOLDEN[group]
+
+
+# ---------------------------------------------------------------------------
+# Fuzz: every subcommand on malformed files and out-of-range integers
+
+_FILES = {"arrows": omega.ds_projections(2).to_json(),
+          "edus": omega.enumerate_structures(2, "edus")[3].to_json(),
+          "magma": {"size": 2, "table": [[0, 1], [1, 1]]}}
+_SCALARS = st.one_of(st.none(), st.booleans(), st.integers(-3, 3),
+                     st.floats(allow_nan=False), st.text(max_size=3))
+_NON_INTEGERS = _SCALARS.filter(lambda v: type(v) is not int) | st.just([2])
+
+
+@st.composite
+def _bad_file(draw) -> str:
+    """The text of a structure file that every reader refuses: truncated JSON, a
+    field of the wrong type, a table of the wrong shape or a bad entry."""
+    data = _FILES[draw(st.sampled_from(sorted(_FILES)))]
+    text = json.dumps(data)
+    how = draw(st.sampled_from(("truncated", "type", "shape", "entry")))
+    if how == "truncated":
+        return text[:draw(st.integers(0, len(text) - 1))]
+    field = draw(st.sampled_from(sorted(data)))
+    if field == "size" or how == "type":
+        value = draw(_NON_INTEGERS if field == "size" else _SCALARS)
+    elif how == "shape":
+        rows, cols = draw(st.tuples(st.integers(0, 3), st.integers(0, 3)).filter(
+            lambda shape: shape != (2, 2)))
+        value = [[draw(st.integers(0, 1)) for _ in range(cols)] for _ in range(rows)]
+    else:
+        value = [list(row) for row in data[field]]
+        value[draw(st.integers(0, 1))][draw(st.integers(0, 1))] = draw(
+            st.integers(2, 10 ** 9) | st.integers(-10 ** 9, -1) | _NON_INTEGERS)
+    return json.dumps({**data, field: value})
+
+
+def _beyond(low: int, high: int):
+    """An integer below ``low`` or above ``high``, as text."""
+    return (st.integers(low - 10 ** 9, low - 1) | st.integers(high + 1, high + 10 ** 9)).map(str)
+
+
+def _command(*parts):
+    """A command line of text parts and strategies for text parts."""
+    return st.tuples(*(st.just(p) if isinstance(p, str) else p for p in parts)).map(list)
+
+
+def _option(name: str, values):
+    return values.map(f"--{name}={{}}".format)
+
+
+_KINDS = st.sampled_from(sorted(omega.KIND_LAWS))
+_MODES = st.sampled_from(("two_param", "one_param", "graded"))
+_PRESETS = st.sampled_from(_PRESET_NAMES)
+_TREES = ("(x . . _ _)", "(y . . _ _)")
+
+# Each reads its structure from the malformed file {bad}.
+_FILE_COMMANDS = st.one_of(
+    _command("omega", "check", _option("kind", _KINDS), "--input={bad}"),
+    _command("family", "check", _option("mode", _MODES), "--omega={bad}", "--max-vertices=1"),
+    _command("trees", "product", _option("mode", st.sampled_from(("prec1", "succ1"))),
+             "--omega={bad}", "--param=0", *_TREES),
+    _command("trees", "product", _option("mode", st.sampled_from(("prec2", "succ2"))),
+             "--omega={bad}", "--param=0,1", *_TREES),
+    _command("present", "mix", _option("preset", _PRESETS), "--omega={bad}", "--arity=2"))
+
+# Each has one integer out of range: below 1, over a size bound or not a color.
+_INTEGER_COMMANDS = st.one_of(
+    _command("omega", "enumerate", _option("size", _beyond(1, 4)), "--force",
+             _option("kind", _KINDS)),
+    _command("family", "check", _option("mode", _MODES), "--omega={edus}",
+             _option("max-vertices", _beyond(1, 4))),
+    _command("family", "check", _option("mode", _MODES), "--omega={edus}",
+             _option("x-size", st.integers(-10 ** 9, 0).map(str))),
+    _command("trees", "product", "--mode=prec2", "--omega={arrows}",
+             _option("param", _beyond(0, 1).map("0,{}".format) | _beyond(0, 1) |
+                     st.just("0,0,0")), *_TREES),
+    _command("trees", "product", "--mode=succ1", "--omega={edus}",
+             _option("param", _beyond(0, 1)), *_TREES),
+    *(_command("operad", "check", f"--which={which}", _option("max", _beyond(1, top)))
+      for which, top in (("corolla", 8), ("perm", 6), ("twist", 5))),
+    _command("operad", "iso", _option("max-arity", _beyond(1, 5))),
+    _command("present", "quotient", _option("preset", _PRESETS), _option("arity", _beyond(1, 6))),
+    _command("present", "mix", _option("preset", _PRESETS), "--omega={arrows}",
+             _option("arity", _beyond(1, 6))),
+    _command("present", "mix", "--preset=duplicial", "--omega={arrows}", "--arity=2",
+             "--coloring=0,1", _option("output", _beyond(0, 1))),
+    _command("present", "mix", "--preset=duplicial", "--omega={arrows}", "--arity=2",
+             _option("coloring", _beyond(0, 1).map("0,{}".format) | st.just("0,1,0"))),
+    _command("dims", "r", _option("n", _beyond(1, 64))),
+    _command("dims", "count", _option("n", _beyond(1, 8)), "--w=2"),
+    _command("dims", "count", "--n=3", _option("w", _beyond(1, 4))))
+
+
+@settings(max_examples=150, deadline=None,
+          suppress_health_check=[HealthCheck.function_scoped_fixture])
+@given(st.tuples(_FILE_COMMANDS, _bad_file()) | st.tuples(_INTEGER_COMMANDS, st.just("")))
+def test_fuzzed_commands_fail_with_exit_2_or_3(capsys, tmp_path, case):
+    argv, bad = case
+    paths = {}
+    for name, text in (("bad", bad), *((k, json.dumps(v)) for k, v in _FILES.items())):
+        paths[name] = tmp_path / f"{name}.json"
+        paths[name].write_text(text)
+    code, out, _ = run(capsys, [arg.format(**paths) for arg in argv])
+    assert code in (2, 3), argv
+    if code == 2:
+        assert out == ""
+    else:
+        assert out.count("\n") == 1 and list(json.loads(out)) == ["error"]

@@ -253,6 +253,22 @@ def test_malformed_family_json_raises_a_typed_error(data, error):
     assert FamilyBilinear.from_json(_FAMILY).ops["prec"][0, 0] == (((Fraction(1, 2),),),)
 
 
+@pytest.mark.parametrize("key", ["(+1,0)", "1,0", "((1,0))", "( 1,0)", "(1,0 )", "(\u0663,0)",
+                                 "(1_0,0)", "(0,1,2)", "(0)", "()", "(,0)", "(0,0"])
+def test_family_keys_are_pairs_of_ascii_digits(key):
+    with pytest.raises(PreconditionError, match="parameter key"):
+        FamilyBilinear.from_json({**_FAMILY, "omega_size": 2, "ops": {"prec": {key: [[[1]]]}}})
+
+
+def test_family_json_keys_round_trip():
+    a = random_family(1, 3, ("prec", "succ"), seed=4)
+    data = a.to_json()
+    assert sorted(data["ops"]["prec"]) == [f"({p},{q})" for p in range(3) for q in range(3)]
+    b = FamilyBilinear.from_json(data)
+    assert (b.ops, b.dim, b.omega_size) == (a.ops, a.dim, a.omega_size)
+    assert b.to_json() == data
+
+
 def test_family_validation():
     with pytest.raises(ValueError):
         FamilyBilinear(1, 2, {"prec": {(0, 0): [[[Fraction(0)]]]}})

@@ -260,6 +260,14 @@ def test_mixing_filter_rejects_out_of_range_colors():
             mixing_filter(preset("duplicial"), tables, 2, (0, 1), output)
 
 
+def test_mixing_filter_refuses_boolean_colors():
+    tables = pr.omega_algebra_from_structure(preset("duplicial"), ds_projections(2))
+    with pytest.raises(ValueError, match="input colors"):
+        mixing_filter(preset("duplicial"), tables, 2, [True, False], 0)
+    with pytest.raises(ValueError, match="output color"):
+        mixing_filter(preset("duplicial"), tables, 2, (0, 1), True)
+
+
 def test_default_tables_need_matching_structure():
     with pytest.raises(PreconditionError, match="prec"):
         pr.omega_algebra_from_structure(preset("duplicial"),
@@ -337,10 +345,37 @@ def test_the_presentation_defines_the_parameter_structure(name, passing):
     {"generators": ["f"], "mode": "planar", "relations": [["(f 1 2)", "(f 2 1)"]]},
     {"generators": ["f"], "mode": "planar", "relations": [["(g (g 1 2) 3)", "(g 1 (g 2 3))"]]},
     {"generators": ["f"], "mode": "planar", "relations": [["(f (f 1 2) 3)", "(f 1 (g 2 3))"]]},
+    {"generators": ["f", "f"], "mode": "planar", "relations": []},
+    {"generators": [5, None], "mode": "planar", "relations": []},
+    {"generators": ["a b"], "mode": "planar", "relations": []},
+    {"generators": [""], "mode": "planar", "relations": []},
+    {"generators": [["f"]], "mode": "planar", "relations": [["(f (f 1 2) 3)", "(f 1 (f 2 3))"]]},
 ])
 def test_malformed_presentation_json_raises_precondition_error(data):
     with pytest.raises(PreconditionError):
         Presentation.from_json(data)
+
+
+@pytest.mark.parametrize("generators,named", [
+    (["f", "f"], "'f'"), (["f", "g", "f"], "'f'"), ([5, "f"], "5"), (["f", None], "None"),
+    (["a b"], "'a b'"), ([""], "''"), (["f", "(g"], "'(g'"), (["g)"], "'g)'"),
+    (["f\tg"], "'f\\tg'"), ([["f"]], "['f']"),
+])
+@pytest.mark.parametrize("mode", ["planar", "labeled"])
+def test_generators_must_be_distinct_words_of_the_term_grammar(mode, generators, named):
+    with pytest.raises(PreconditionError) as exc:
+        Presentation(generators, mode, [])
+    assert named in str(exc.value)
+
+
+@pytest.mark.parametrize("mode", ["planar", "labeled"])
+def test_any_word_generators_read_back_from_their_terms(mode):
+    p = Presentation(["f.g", "p_1", "\u00b7", "1"], mode, [])
+    for n in (1, 2, 3):
+        terms = enumerate_terms(p, n)
+        assert len(set(terms)) == len(terms)
+        assert [parse_term(serialize_term(t)) for t in terms] == terms
+    assert len(quotient_classes(p, 2)) == 4 * (1 if mode == "planar" else 2)
 
 
 @pytest.mark.parametrize("mode", ["planar", "labeled"])
