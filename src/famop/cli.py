@@ -120,15 +120,17 @@ def _cmd_present_quotient(args) -> int:
 
 def _cmd_present_mix(args) -> int:
     from . import presentations
+    if args.coloring is None and args.output is not None:
+        raise PreconditionError("--output needs --coloring")
     p = presentations.preset(args.preset)
     s = _load_structure(args.omega)
     tables = presentations.omega_algebra_from_structure(p, s)
     if args.coloring is not None:
-        result = presentations.mixing_filter(p, tables, args.arity,
-                                             args.coloring, args.output)
+        output = 0 if args.output is None else args.output
+        result = presentations.mixing_filter(p, tables, args.arity, args.coloring, output)
         payload = {
             "preset": args.preset, "arity": args.arity,
-            "coloring": args.coloring, "output": args.output,
+            "coloring": args.coloring, "output": output,
             "consistent": result.consistent,
             "members": [presentations.serialize_term(t) for t in result.members],
             "non_members": [presentations.serialize_term(t)
@@ -234,7 +236,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--omega", required=True)
     p.add_argument("--arity", type=_integer, required=True)
     p.add_argument("--coloring", type=_integers, help="comma-separated input colors")
-    p.add_argument("--output", type=_integer, default=0)
+    p.add_argument("--output", type=_integer, help="output color, with --coloring (default 0)")
     p.set_defaults(fn=_cmd_present_mix)
 
     p_dims = sub.add_parser("dims", help="dimension polynomials")

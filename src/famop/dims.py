@@ -11,8 +11,8 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .errors import ResourceBoundError
-from .omega import GENERATOR_OPS, RELATIONS, ds_projections, monomials
+from .errors import PreconditionError, ResourceBoundError
+from .omega import GENERATOR_OPS, RELATIONS, _freeze_table, _integers, ds_projections, monomials
 from .report import LawReport
 from .trees import catalan
 
@@ -25,7 +25,8 @@ class IntPoly:
     coeffs: tuple = ()
 
     def __post_init__(self):
-        c = tuple(int(v) for v in self.coeffs)
+        c = tuple(self.coeffs)
+        _integers("coefficient", *c, low=None)
         while c and c[-1] == 0:
             c = c[:-1]
         object.__setattr__(self, "coeffs", c)
@@ -97,7 +98,9 @@ class IntPoly:
 
     @classmethod
     def from_json(cls, data) -> "IntPoly":
-        return cls(tuple(data))
+        if not isinstance(data, list):
+            raise PreconditionError(f"a polynomial is a JSON list of integers, not {data!r}")
+        return cls(data)
 
 
 ZERO = IntPoly()
@@ -113,13 +116,13 @@ class PolySeries:
     polys: tuple
 
     def __post_init__(self):
-        if self.order < 1 or len(self.polys) != self.order:
-            raise ValueError("order must be >= 1 and match the coefficient count")
+        _integers("order", self.order)
+        if len(self.polys) != self.order:
+            raise PreconditionError("the order must match the coefficient count")
         object.__setattr__(self, "polys", tuple(self.polys))
 
     def r(self, n: int) -> IntPoly:
-        if not 1 <= n <= self.order:
-            raise ValueError(f"n must be in 1..{self.order}")
+        _integers("n", n, high=self.order)
         return self.polys[n - 1]
 
 
@@ -131,8 +134,7 @@ def r_sequence(order: int) -> PolySeries:
 
     all sums over indices >= 1, with exact integer polynomial arithmetic.
     """
-    if order < 1:
-        raise ValueError("order must be at least 1")
+    _integers("order", order)
     if order > 64:
         raise ResourceBoundError("order must be in 1..64")
     r = [ZERO, ONE]  # r[0] unused
@@ -221,12 +223,12 @@ def count_basis_trees(n: int, w: int, tables=None) -> int:
     may be supplied, and the count is table-independent because each
     pattern excludes exactly one first index.
     """
-    if n < 1 or w < 1:
-        raise ValueError("n >= 1 and w >= 1 required")
+    _integers("n and w", n, w)
     if n > 8 or w > 4:
         raise ResourceBoundError("count_basis_trees bound exceeded (n <= 8, w <= 4)")
     gens = RELATIONS["duplicial"].generators
-    la, ra = tables if tables is not None else (ds_projections(w).left_arrow,) * 2
+    la, ra = ((_freeze_table(t, w) for t in tables) if tables is not None
+              else (ds_projections(w).left_arrow,) * 2)
     arrow = [{"la": la, "ra": ra}[GENERATOR_OPS[g]] for g in gens]
     forbidden = {(gens.index(t[0]), gens.index(t[1][0])) for r in RELATIONS["duplicial"].relations
                  for t in monomials(r) if isinstance(t[1], tuple)}  # left combs (g, (g', x, y), z)

@@ -23,8 +23,8 @@ from types import SimpleNamespace
 
 from . import trees
 from .errors import LAW_BUDGET, PreconditionError, ResourceBoundError
-from .omega import (GENERATOR_OPS, RELATIONS, OmegaStructure, _tables_of, compile_laws,
-                    first_violation, passes)
+from .omega import (GENERATOR_OPS, RELATIONS, OmegaStructure, _integers, _tables_of,
+                    compile_laws, first_violation, passes)
 from .report import LawReport
 from .trees import Node, serialize
 
@@ -133,16 +133,17 @@ def _require_operands(o: OmegaStructure, kind: str, edge, *ts):
     if any(t is None for t in ts):
         raise PreconditionError("products are defined on non-leaf trees only")
     _require_kind(o, kind)
-    pair, ok = kind == "duplicial", range(o.size)
+    pair = kind == "duplicial"
     types, stack = [edge], list(ts)
     while stack:
         t = stack.pop()
         types += [e for e in (t.lt, t.rt) if e is not None]
         stack += [c for c in (t.left, t.right) if c is not None]
     for e in types:
-        values = e if pair and isinstance(e, tuple) and len(e) == 2 else (e,)
-        if isinstance(e, tuple) != pair or not all(type(v) is int and v in ok for v in values):
-            raise PreconditionError(f"edge type {e} not an int{' pair' * pair} in range({o.size})")
+        if isinstance(e, tuple) != pair or pair and len(e) != 2:
+            raise PreconditionError(f"edge type {e} is not an int{' pair' * pair}")
+    values = itertools.chain(*types) if pair else types
+    _integers("edge type value", *values, low=0, high=o.size - 1)
 
 
 def prec2(s: Node, t: Node, alpha: int, beta: int, o: OmegaStructure) -> Node:
@@ -463,10 +464,8 @@ def check_axioms(mode: str, o: OmegaStructure, x_size: int = 1,
     if mode not in _MODE_LAWS:
         raise ValueError(f"unknown mode {mode!r}")
     tables = _tables_of(o, _MODE_KINDS[mode])
-    if max_vertices < 1:
-        raise ValueError("max_vertices must be at least 1")
-    if x_size < 1:
-        raise ValueError("x_size must be at least 1")
+    _integers("max_vertices", max_vertices)
+    _integers("x_size", x_size)
     obligations = _obligations(mode, max_vertices)
     ops, check = _verdict(mode, max_vertices)
     if check(None, o.size, *[tables[op] for op in ops]) is None:

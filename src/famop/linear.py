@@ -28,7 +28,7 @@ from operator import add, neg, sub
 
 from . import omega as omega_mod
 from .errors import PreconditionError
-from .omega import RELATIONS, monomials, subterms, term_arity
+from .omega import RELATIONS, _integers, monomials, subterms, term_arity
 from .report import LawReport
 
 Vec = tuple  # coefficient tuple over the basis
@@ -72,6 +72,7 @@ class FamilyBilinear:
     ops: dict = field(default_factory=dict)  # name -> {(a, b): cube}
 
     def __post_init__(self):
+        _integers("dim and omega_size", self.dim, self.omega_size)
         params = set(itertools.product(range(self.omega_size), repeat=2))
         frozen = {}
         for name, by_param in self.ops.items():
@@ -104,10 +105,8 @@ class FamilyBilinear:
     @classmethod
     def from_json(cls, data) -> "FamilyBilinear":
         dim, omega_size, raw = omega_mod._json_fields(data, "family", "dim", "omega_size", "ops")
-        if type(dim) is not int or type(omega_size) is not int or not (
-                isinstance(raw, dict) and all(isinstance(v, dict) for v in raw.values())):
-            raise PreconditionError("a family needs integers dim and omega_size and "
-                                    "ops mapping each name to an object")
+        if not (isinstance(raw, dict) and all(isinstance(v, dict) for v in raw.values())):
+            raise PreconditionError("family ops must map each name to an object")
         ops = {name: {_param_key(key): cube for key, cube in by_param.items()}
                for name, by_param in raw.items()}
         return cls(dim, omega_size, ops)
@@ -122,6 +121,7 @@ def _param_key(key: str) -> tuple:
 
 
 def zero_family(dim: int, omega_size: int, op_names) -> FamilyBilinear:
+    _integers("dim and omega_size", dim, omega_size)
     zero = [[[0] * dim] * dim] * dim
     return constant_family(dim, omega_size, dict.fromkeys(op_names, zero))
 
@@ -129,6 +129,7 @@ def zero_family(dim: int, omega_size: int, op_names) -> FamilyBilinear:
 def constant_family(dim: int, omega_size: int, tables: dict) -> FamilyBilinear:
     """A family whose products do not depend on the parameters; the family
     laws then reduce to the classical laws of the underlying algebra."""
+    _integers("dim and omega_size", dim, omega_size)
     ops = {}
     for name, cube in tables.items():
         cube = _freeze_cube(cube, dim)
@@ -140,6 +141,7 @@ def random_family(dim: int, omega_size: int, op_names, seed: int,
                   max_denominator: int = 3) -> FamilyBilinear:
     """Seeded random structure constants with small denominators; the seed
     fixes the instance for reproducible searches."""
+    _integers("dim, omega_size and max_denominator", dim, omega_size, max_denominator)
     rng = random.Random(seed)
 
     def entry():
@@ -304,6 +306,7 @@ class GradedBasisAlgebra:
     grades: dict       # name -> w x w table of result colors
 
     def __post_init__(self):
+        _integers("base_dim and omega_size", self.base_dim, self.omega_size)
         self.ops = {name: _freeze_cube(cube, self.dim) for name, cube in self.ops.items()}
 
     @property
@@ -364,6 +367,7 @@ def zinbiel_truncated(dim: int = 3, omega_size: int = 1) -> FamilyBilinear:
     e_m prec e_n = binom(m+n-1, n) e_{m+n}, and succ is its flip.  Both
     products are nonzero with nonzero triple products, which makes its
     graded algebra sensitive to every arrow identity."""
+    _integers("dim and omega_size", dim, omega_size)
     z = Fraction(0)
     prec = [[[z] * dim for _ in range(dim)] for _ in range(dim)]
     succ = [[[z] * dim for _ in range(dim)] for _ in range(dim)]
@@ -412,6 +416,7 @@ def prelie_rooted_truncated(max_vertices: int = 4, omega_size: int = 1) -> Famil
     """The rooted-tree algebra truncated by vertex count: x rhd y sums the
     attachments of x at every vertex of y, dropping trees that grow past
     the bound."""
+    _integers("max_vertices", max_vertices)
     basis = _rooted_trees(max_vertices)
     index = {t: i for i, t in enumerate(basis)}
     dim = len(basis)

@@ -32,30 +32,35 @@ Table = tuple[tuple[int, ...], ...]
 
 def _freeze_table(rows, size: int) -> Table:
     if not isinstance(rows, (list, tuple)) or len(rows) != size:
-        raise ValueError(f"table must be {size}x{size}")
-    table = []
+        raise PreconditionError(f"table must be {size}x{size}")
+    entries = []
     for row in rows:
         if not isinstance(row, (list, tuple)) or len(row) != size:
-            raise ValueError(f"table must be {size}x{size}")
-        for v in row:
-            if type(v) is not int:
-                raise ValueError(f"table entry {v!r} is not an integer")
-            if not 0 <= v < size:
-                raise ValueError(f"table entry {v} out of range 0..{size - 1}")
-        table.append(tuple(row))
-    return tuple(table)
+            raise PreconditionError(f"table must be {size}x{size}")
+        entries += row
+    _integers("table entry", *entries, low=0, high=size - 1)
+    return tuple(map(tuple, rows))
+
+
+def _integers(what: str, *values, low=1, high=None) -> None:
+    """The one check of every integer argument: ``PreconditionError`` unless
+    each value is an ``int``, not a ``bool``, in ``low..high`` (``None``: open)."""
+    for v in values:
+        if type(v) is not int:
+            raise PreconditionError(f"{what} {v!r} is not an integer")
+        if low is not None and v < low or high is not None and v > high:
+            span = f"be at least {low}" if high is None else f"lie in {low}..{high}"
+            raise PreconditionError(f"{what} must {span}, not {v}")
 
 
 def _json_fields(data, what: str, *keys) -> list:
-    """The named fields of the JSON object of a ``what``, ``size`` an integer."""
+    """The named fields of the JSON object of a ``what``."""
     if not isinstance(data, dict):
         raise PreconditionError(
             f"a {what} must be a JSON object, not {type(data).__name__}")
     missing = [key for key in keys if key not in data]
     if missing:
         raise PreconditionError(f"{what} JSON lacks {', '.join(missing)}")
-    if "size" in keys and type(data["size"]) is not int:
-        raise PreconditionError(f"structure size {data['size']!r} is not an integer")
     return [data[key] for key in keys]
 
 
@@ -64,6 +69,11 @@ def _digits(text: str) -> bool:
     (``int`` alone would also read ``+2``, ``1_0`` and the digits of other
     scripts)."""
     return text.isascii() and text.isdigit()
+
+
+def _word(text) -> bool:
+    """Whether ``text`` is one word of the tree and term grammars: no space, no bracket."""
+    return isinstance(text, str) and text.split() == [text] and not {"(", ")"} & set(text)
 
 
 @dataclass(frozen=True)
@@ -77,8 +87,7 @@ class OmegaStructure:
     right_tri: Table | None = None
 
     def __post_init__(self):
-        if self.size < 1:
-            raise ValueError("size must be positive")
+        _integers("structure size", self.size)
         object.__setattr__(self, "left_arrow", _freeze_table(self.left_arrow, self.size))
         object.__setattr__(self, "right_arrow", _freeze_table(self.right_arrow, self.size))
         if (self.left_tri is None) != (self.right_tri is None):
@@ -133,8 +142,7 @@ class Magma:
     table: Table
 
     def __post_init__(self):
-        if self.size < 1:
-            raise ValueError("size must be positive")
+        _integers("structure size", self.size)
         object.__setattr__(self, "table", _freeze_table(self.table, self.size))
 
     def mul(self, a: int, b: int) -> int:
@@ -161,8 +169,7 @@ def _trusted(cls, *fields):
 
 def ds_projections(size: int) -> OmegaStructure:
     """Arrows given by projections: a <- b = a and a -> b = b."""
-    if size < 1:
-        raise ValueError("size must be positive")
+    _integers("size", size)
     left = tuple(tuple(a for _ in range(size)) for a in range(size))
     right = tuple(tuple(b for b in range(size)) for _ in range(size))
     return OmegaStructure(size, left, right)
@@ -239,8 +246,7 @@ class Presentation:
             raise ValueError("mode must be 'planar' or 'labeled'")
         object.__setattr__(self, "generators", tuple(self.generators))
         for i, g in enumerate(self.generators):
-            # one word of the term grammar, which ``parse_term`` reads as a generator
-            if not (isinstance(g, str) and g and not any(c.isspace() or c in "()" for c in g)):
+            if not _word(g):
                 raise PreconditionError(f"generator {g!r} is not a word of the term grammar")
             if g in self.generators[:i]:
                 raise PreconditionError(f"generator {g!r} is repeated")
@@ -648,8 +654,7 @@ def enumerate_structures(size: int, kind: str, force: bool = False) -> list:
     """
     if kind not in KIND_LAWS:
         raise ValueError(f"unknown kind {kind!r}")
-    if size < 1:
-        raise ValueError("size must be positive")
+    _integers("size", size)
     if size > size_bound(force):
         raise ResourceBoundError(
             f"size {size} exceeds the enumeration bound {size_bound(force)}; "
@@ -696,10 +701,9 @@ class TwistedMonomial:
     powers: tuple = ()
 
     def __post_init__(self):
-        items = tuple(sorted((k, int(m)) for k, m in dict(self.powers).items() if m))
-        if any(m < 0 for _, m in items):
-            raise ValueError("multiplicities must be non-negative")
-        object.__setattr__(self, "powers", items)
+        powers = dict(self.powers)
+        _integers("multiplicity", *powers.values(), low=0)
+        object.__setattr__(self, "powers", tuple(sorted((k, m) for k, m in powers.items() if m)))
 
     @classmethod
     def generator(cls, d) -> "TwistedMonomial":
@@ -727,10 +731,9 @@ class NatMultiset:
     entries: tuple = ()
 
     def __post_init__(self):
-        items = tuple(sorted(int(v) for v in self.entries))
-        if any(v < 1 for v in items):
-            raise ValueError("entries must be positive integers")
-        object.__setattr__(self, "entries", items)
+        entries = tuple(self.entries)
+        _integers("multiset entry", *entries)
+        object.__setattr__(self, "entries", tuple(sorted(entries)))
 
 
 def multiset_product(x: NatMultiset, y: NatMultiset) -> NatMultiset:

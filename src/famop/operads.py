@@ -15,7 +15,7 @@ from dataclasses import dataclass
 
 from . import presentations
 from .errors import LAW_BUDGET, PreconditionError, ResourceBoundError
-from .omega import TwistedMonomial, _json_fields, twisted_product
+from .omega import TwistedMonomial, _integers, _json_fields, twisted_product
 from .report import LawReport
 
 
@@ -404,8 +404,7 @@ def check_operad_laws(which: str, max_size: int = 3) -> LawReport:
     """
     if which not in _OPERADS:
         raise ValueError(f"unknown operad {which!r}")
-    if max_size < 1:
-        raise ValueError("max_size must be at least 1")
+    _integers("max_size", max_size)
     elements_of, compose, relabel = _OPERADS[which]
     report = LawReport(kind=f"{which}_operad")
     per_carrier = which != "corollas"
@@ -546,8 +545,7 @@ def psi_phi_roundtrip(max_arity: int = 4) -> LawReport:
     """Check that the twist-law quotient of leaf-labeled binary terms and
     the pairs operad invert each other up to the arity bound, and that the
     class counts equal n(n-1) for n >= 2."""
-    if max_arity < 1:
-        raise ValueError("max_arity must be at least 1")
+    _integers("max_arity", max_arity)
     if max_arity > 5:
         raise ResourceBoundError("max_arity must be <= 5")
     p = presentations.preset("twist")
@@ -605,8 +603,7 @@ def perm_surjection(which: str, max_size: int = 3) -> LawReport:
     ``LAW_BUDGET`` instances, counted first, raise ``ResourceBoundError``."""
     if which not in ("pairs", "corollas", "orders"):
         raise ValueError(f"no perm map for {which!r}")
-    if max_size < 1:
-        raise ValueError("max_size must be at least 1")
+    _integers("max_size", max_size)
     # Each (x, a, y) is one instance: (sum of n_s * s) * (sum of n_s) in all.
     weighted = total = 0
     for s in range(1, max_size + 1):

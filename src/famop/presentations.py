@@ -17,7 +17,7 @@ import itertools
 from dataclasses import dataclass
 
 from .errors import MixingConsistencyError, ResourceBoundError
-from .omega import (RELATIONS, Presentation, _digits, _freeze_table, eval_term,
+from .omega import (RELATIONS, Presentation, _digits, _freeze_table, _integers, eval_term,
                     first_violation, law_term, monomials, serialize_term, tables_by_op,
                     term_arity, term_leaves)
 from .trees import Bracketed
@@ -77,8 +77,7 @@ def _relabel(t: Term, mapping: dict) -> Term:
 def enumerate_terms(p: Presentation, arity: int) -> list[Term]:
     """Complete canonical list of terms at one arity.  A planar shape and a
     leaf permutation fix a labeled term, so no term repeats."""
-    if arity < 1:
-        raise ValueError("arity must be >= 1")
+    _integers("arity", arity)
     limit = 6 if p.mode == "planar" else 5
     if arity > limit:
         raise ResourceBoundError(f"arity {arity} exceeds the {p.mode} bound {limit}")
@@ -174,8 +173,7 @@ def quotient_classes(p: Presentation, arity: int) -> list[list[Term]]:
 def compose_terms(x: Term, a: int, y: Term) -> Term:
     """Partial composition: plug ``y`` into the leaf of ``x`` labeled ``a``,
     renumbering so the result reads 1..(n+m-1)."""
-    if a not in term_leaves(x):
-        raise ValueError(f"no leaf labeled {a}")
+    _integers("position", a, high=term_arity(x))
     m = term_arity(y)
     y_shifted = _relabel(y, {leaf: leaf + a - 1 for leaf in term_leaves(y)})
     return _relabel(x, {leaf: leaf if leaf < a else y_shifted if leaf == a else leaf + m - 1
@@ -201,8 +199,7 @@ class ColoredTerm:
 def colored_compose(x: ColoredTerm, a: int, y: ColoredTerm) -> ColoredTerm | None:
     """Compose when the output color of ``y`` matches input ``a`` of ``x``;
     otherwise the zero of the colored setting, represented as None."""
-    if not 1 <= a <= len(x.input_colors):
-        raise ValueError(f"position {a} out of range")
+    _integers("position", a, high=len(x.input_colors))
     if y.output_color != x.input_colors[a - 1]:
         return None
     colors = x.input_colors[:a - 1] + y.input_colors + x.input_colors[a:]
@@ -312,10 +309,8 @@ def mixing_filter(p: Presentation, omega_algebra: dict, arity: int,
     coloring = tuple(coloring)
     if len(coloring) != arity:
         raise ValueError("one input color per leaf required")
-    if not all(type(c) is int and 0 <= c < size for c in coloring):
-        raise ValueError(f"input colors must lie in 0..{size - 1}")
-    if not (type(output) is int and 0 <= output < size):
-        raise ValueError(f"the output color must lie in 0..{size - 1}")
+    _integers("input colors", *coloring, low=0, high=size - 1)
+    _integers("the output color", output, low=0, high=size - 1)
     classes = quotient_classes(p, arity)
     _check_consistency(classes, omega_algebra, size)
     env = dict(zip(range(1, arity + 1), coloring))

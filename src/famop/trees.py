@@ -18,7 +18,7 @@ import re
 from dataclasses import dataclass
 
 from .errors import ParseError, PreconditionError, ResourceBoundError
-from .omega import _digits, _json_fields
+from .omega import _digits, _integers, _json_fields, _word
 
 Leaf = None
 
@@ -98,8 +98,7 @@ def stats(t: Tree) -> TreeStats:
 
 def catalan(k: int) -> int:
     """Catalan numbers indexed so that catalan(1) = catalan(2) = 1."""
-    if k < 1:
-        raise ValueError("index must be >= 1")
+    _integers("Catalan index", k)
     return math.comb(2 * k - 2, k - 1) // k
 
 
@@ -119,8 +118,8 @@ def tree_count(n: int, x_size: int, w: int, flavor: str = "single") -> int:
     """The number of trees ``enumerate_trees`` lists, under its bounds."""
     if flavor not in ("single", "pair"):
         raise ValueError("flavor must be 'single' or 'pair'")
-    if n < 0 or x_size < 1 or w < 1:
-        raise ValueError("n >= 0, x_size >= 1 and w >= 1 required")
+    _integers("vertex count", n, low=0)
+    _integers("x_size and w", x_size, w)
     if n > 6 or expected_tree_count(n, x_size, w, flavor) > 500_000:
         raise ResourceBoundError("tree enumeration bound exceeded")
     return expected_tree_count(n, x_size, w, flavor)
@@ -181,12 +180,11 @@ def serialize(t: Tree) -> str:
 MAX_DEPTH = 200
 
 _TOKEN = re.compile(r"[()]|[^\s()]+")
-_WORD = re.compile(r"[^\s()]+")
 
 
 def _decoration(text) -> bool:
     """Whether ``text`` is a decoration: one word, not ``.``, ``_`` or ``._``."""
-    return isinstance(text, str) and _WORD.fullmatch(text) is not None and text not in "._"
+    return _word(text) and text not in "._"
 
 
 class Bracketed:
@@ -284,19 +282,25 @@ def to_json(t: Tree):
 
 def _json_type(value):
     """An edge type from JSON: null, a non-negative int or a list of two."""
-    values = value if isinstance(value, list) and len(value) == 2 else [value]
-    if value is not None and not all(type(v) is int and v >= 0 for v in values):
-        raise PreconditionError(f"edge type {value!r} is not null, a non-negative "
-                                "integer or a list of two")
-    return tuple(value) if isinstance(value, list) else value
+    pair = isinstance(value, list) and len(value) == 2
+    if value is not None:
+        _integers("edge type value", *(value if pair else [value]), low=0)
+    return tuple(value) if pair else value
 
 
 def from_json(data) -> Tree:
     """The tree of ``to_json``; only trees that ``serialize`` writes and
-    ``parse`` reads back are accepted."""
-    if data is None:
-        return Leaf
-    dec, lt, rt, left, right = _json_fields(data, "tree", "dec", "lt", "rt", "left", "right")
-    if not _decoration(dec):
-        raise PreconditionError(f"decoration {dec!r} is not a word of the tree grammar")
-    return Node(dec, _json_type(lt), from_json(left), _json_type(rt), from_json(right))
+    ``parse`` reads back are accepted, so no deeper than ``MAX_DEPTH``."""
+
+    def node(data, depth: int) -> Tree:
+        if data is None:
+            return Leaf
+        if depth > MAX_DEPTH:
+            raise PreconditionError(f"tree JSON nests deeper than {MAX_DEPTH}")
+        dec, lt, rt, left, right = _json_fields(data, "tree", "dec", "lt", "rt", "left", "right")
+        if not _decoration(dec):
+            raise PreconditionError(f"decoration {dec!r} is not a word of the tree grammar")
+        return Node(dec, _json_type(lt), node(left, depth + 1), _json_type(rt),
+                    node(right, depth + 1))
+
+    return node(data, 1)

@@ -221,6 +221,16 @@ def test_present_mix_on_a_magma_file_is_a_usage_error(capsys, magma_file):
     assert "'prec'" in err and "left_arrow" in err
 
 
+@pytest.mark.parametrize("output", ["0", "1", "7"])
+def test_present_mix_output_without_coloring_is_a_usage_error(capsys, tmp_path, output):
+    structure = tmp_path / "omega.json"
+    structure.write_text(json.dumps(_PRESET_STRUCTURES["duplicial"]))
+    code, out, err = run(capsys, ["present", "mix", "--preset", "duplicial", "--omega",
+                                  str(structure), "--arity", "2", "--output", output])
+    assert (code, out) == (2, "")
+    assert "--output needs --coloring" in err
+
+
 def test_operad_check_twist(capsys):
     code, out, _ = run(capsys, ["operad", "check", "--which", "twist",
                                 "--max", "3"])
@@ -681,14 +691,16 @@ def _digest(capsys, commands) -> str:
 
 
 # Recorded at commit 0e3199f.  A change that keeps the output keeps every digest; one
-# that means to change it records new digests and says why.
+# that means to change it records new digests and says why.  "present" is re-recorded
+# since `present mix --output` without `--coloring` is a usage error (exit 2, no stdout):
+# exactly its six `--output 3` commands changed.
 _GOLDEN = {
     "omega check": "418e864bf3a5ff3c0d4717e6348679463371fca97e151739ae9846c38319f78d",
     "omega enumerate": "6f26f0da768148c3b1f34af832041e974d1ee7b08995b9b10ecbde79396fa083",
     "family check": "f457bda3363eed8ba50dd27b9cfce06dcb98849b5bfd7681eb1c7a9bfbf657a2",
     "trees product": "1dbd7deb74887ed73a56f56442108de5e3ff0fef0ef241e3cf1296911b32c12b",
     "operad": "854763a21f5d2223669bde5e2caa7fec38bc3aef0fc9435111017814e794b714",
-    "present": "21b54134b82758fcf7fe191913a4130cf984a0c45a6a79989280f5eb9725613b",
+    "present": "e82a5a1c50ea214c29b3dcacb7a5d780887baa31d548cb67fcc7325bace16426",
     "dims": "d9e22461d2cc6d30dbb3b40b70f39136d1583c5f63625508ff907828666f7802",
     "usage": "28476b6baf06eca7534a694bffa6a399af3441ecc647f997fb311e462b6c3329",
 }

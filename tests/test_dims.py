@@ -6,7 +6,7 @@ import pytest
 from famop import dims
 from famop.dims import (IntPoly, catalan, count_basis_trees, cubic_residual,
                         evaluate, r_sequence, verify_identities)
-from famop.errors import ResourceBoundError
+from famop.errors import PreconditionError, ResourceBoundError
 
 # The eight reference polynomials, ascending coefficients.
 REFERENCE = {
@@ -185,6 +185,13 @@ def test_count_is_table_independent():
     base = count_basis_trees(4, 2)
     for tables in itertools.product((left, right, xor, const), repeat=2):
         assert count_basis_trees(4, 2, tables=tables) == base
+
+
+@pytest.mark.parametrize("tables", [([[0]], [[0]]), (((0, 1), (0, 2)), ((0, 0), (0, 0))),
+                                    (((0, 1), (0, 1)), ((0, True), (0, 0)))])
+def test_count_tables_must_be_w_by_w_over_the_parameters(tables):
+    with pytest.raises(PreconditionError):
+        count_basis_trees(3, 2, tables)
 
 
 def test_count_bounds():

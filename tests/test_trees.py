@@ -120,6 +120,23 @@ def test_nesting_past_the_limit_is_a_parse_error():
     assert parse(serialize(t)) == t
 
 
+def _nested_json(levels: int):
+    """Tree JSON of ``levels`` nodes, each the left child of the one above."""
+    data = None
+    for _ in range(levels):
+        data = {"dec": "x", "lt": None if data is None else 0, "rt": None,
+                "left": data, "right": None}
+    return data
+
+
+def test_tree_json_nesting_past_the_limit_is_refused():
+    t = from_json(_nested_json(MAX_DEPTH))
+    assert depth(t) == MAX_DEPTH and parse(serialize(t)) == t
+    for levels in (MAX_DEPTH + 1, 1500):
+        with pytest.raises(PreconditionError, match=f"deeper than {MAX_DEPTH}"):
+            from_json(_nested_json(levels))
+
+
 @pytest.mark.parametrize("edge_type", ["1_0", "+2", "\u0663", "-1", "0:+1", "1_0:0", "0:1:2", "0:"])
 def test_edge_types_are_ascii_digits(edge_type):
     with pytest.raises(ParseError) as exc:
