@@ -5,14 +5,16 @@ parameter-set size w from the four-term recurrence; ``verify_identities``
 checks the cubic series identity and the structural facts (degree,
 leading coefficient, divisibility, specialization at w = 1);
 ``count_basis_trees`` is an independent oracle that counts operation
-trees avoiding the left-comb monomials of the duplicial relations.
+trees over the family presentation of the duplicial relations, avoiding
+the left-comb members of its relations.
 """
 from __future__ import annotations
 
 from dataclasses import dataclass
 
 from .errors import PreconditionError, ResourceBoundError
-from .omega import GENERATOR_OPS, RELATIONS, _freeze_table, _integers, ds_projections, monomials
+from .omega import (RELATIONS, OmegaStructure, _integers, ds_projections, family_presentation,
+                    monomials)
 from .report import LawReport
 from .trees import catalan
 
@@ -37,6 +39,7 @@ class IntPoly:
 
     @classmethod
     def monomial(cls, power: int, coeff: int = 1) -> "IntPoly":
+        _integers("power", power, low=0)
         return cls((0,) * power + (coeff,))
 
     def __bool__(self) -> bool:
@@ -84,6 +87,7 @@ class IntPoly:
 
     def shift(self, k: int) -> "IntPoly":
         """Multiply by w^k (or divide exactly for negative k)."""
+        _integers("shift", k, low=None)
         if k >= 0:
             return IntPoly((0,) * k + self.coeffs)
         if any(self.coeffs[:-k]):
@@ -91,6 +95,7 @@ class IntPoly:
         return IntPoly(self.coeffs[-k:])
 
     def divisible_by_power(self, k: int) -> bool:
+        _integers("power", k, low=0)
         return not self or all(v == 0 for v in self.coeffs[:k])
 
     def to_json(self) -> list[int]:
@@ -213,37 +218,29 @@ def verify_identities(order: int) -> LawReport:
 
 
 def count_basis_trees(n: int, w: int, tables=None) -> int:
-    """Count operation trees with ``n`` leaves, each internal vertex decorated
-    by a generator of ``RELATIONS["duplicial"]`` (0 = prec, 1 = succ) and a
-    parameter pair, avoiding the left comb (g, (g', x, y), z) of each relation:
-    a left child (g', a, b) under a vertex (g, d, e) is forbidden when d is
-    the arrow of g' (``GENERATOR_OPS``) at (a, b).
-
-    By default both arrows are left projections; any (la, ra) table pair
-    may be supplied, and the count is table-independent because each
-    pattern excludes exactly one first index.
-    """
+    """Count the trees with ``n`` leaves over the family presentation of
+    ``RELATIONS["duplicial"]`` on the arrows ``tables`` (la, ra), by default
+    the projections, that avoid each family relation's left-comb member; each
+    excludes one first parameter, so the count is table-independent."""
     _integers("n and w", n, w)
     if n > 8 or w > 4:
         raise ResourceBoundError("count_basis_trees bound exceeded (n <= 8, w <= 4)")
-    gens = RELATIONS["duplicial"].generators
-    la, ra = ((_freeze_table(t, w) for t in tables) if tables is not None
-              else (ds_projections(w).left_arrow,) * 2)
-    arrow = [{"la": la, "ra": ra}[GENERATOR_OPS[g]] for g in gens]
-    forbidden = {(gens.index(t[0]), gens.index(t[1][0])) for r in RELATIONS["duplicial"].relations
-                 for t in monomials(r) if isinstance(t[1], tuple)}  # left combs (g, (g', x, y), z)
-    count: list = [None, None]  # count[m][op, d]: trees with m >= 2 leaves, root (op, d, e), any e
+    if tables is not None and not (isinstance(tables, (list, tuple)) and len(tables) == 2):
+        raise PreconditionError("tables must be a pair (la, ra) of w x w tables")
+    family = family_presentation(RELATIONS["duplicial"], ds_projections(w) if tables is None
+                                 else OmegaStructure(w, *tables))
+    combs = {(t[0], t[1][0]) for relation in family.relations for t in monomials(relation)
+             if isinstance(t[1], tuple)}  # the left combs (G, (G', 1, 2), 3)
+    count: list = [None, None]  # count[m][g]: the trees with m >= 2 leaves and root g
     total = [None, 1]  # total[m]: the trees with m leaves
-
-    # The trees with m leaves allowed as the left child of a vertex (op, d, _).
-    def left(m: int, op: int, d: int) -> int:
-        return 1 if m == 1 else sum(c for (cop, a), c in count[m].items() for b in range(w)
-                                    if (op, cop) not in forbidden or d != arrow[cop][a][b])
-
+    left = [None, dict.fromkeys(family.generators, 1)]  # left[m][g]: those allowed left of g
     for m in range(2, n + 1):
-        count.append({(op, d): sum(left(i, op, d) * total[m - i] for i in range(1, m))
-                      for op in range(len(gens)) for d in range(w)})
-        total.append(w * sum(count[m].values()))
+        count.append({g: sum(left[i][g] * total[m - i] for i in range(1, m))
+                      for g in family.generators})
+        total.append(sum(count[m].values()))
+        left.append(dict.fromkeys(family.generators, total[m]))
+        for g, h in combs:
+            left[m][g] -= count[m][h]
     return total[n]
 
 

@@ -8,14 +8,10 @@ law scan runs on the cubes times L, the lcm of their denominators: every
 monomial of a law has d product nodes, so each integer side is exactly L^d
 times its rational value.
 
-Every law is a classical relation of ``omega.RELATIONS``, a signed
-relation between linear combinations of tuple terms in x, y, z.  A family
-law is the same relation with parameters: a variable carries its own
-parameter, and a product node whose operands carry p and q uses the
-constants of the pair (p, q) and carries ``grade[op][p][q]``, read in the
-parameter table that ``omega.GENERATOR_OPS`` assigns to ``op``.  One scan
-checks every law instance over all basis and parameter triples; a
-classical check is the same scan with a single parameter value.
+One scan checks signed relations between terms in x, y, z over all basis
+triples: a classical law is a relation of ``omega.RELATIONS``, a family law
+one of its family presentation (``omega.family_presentation``), whose
+generator ``op_p_q`` multiplies with the constants of the pair (p, q).
 """
 from __future__ import annotations
 
@@ -182,10 +178,10 @@ _CLASSIC_LAWS = {
     "associative": _named(("assoc",), "associative"),
 }
 
-# Each family kind: its laws and the kind of its parameter structure, the
-# one its presentation defines.
+# Each family kind: its laws and the presentation they come from, which
+# also defines the kind of its parameter structure.
 _FAMILY_LAWS = {
-    kind: (_named(ids, name), RELATIONS[name].kind)
+    kind: (_named(ids, name), RELATIONS[name])
     for kind, ids, name in (("dendriform2", ("F1", "F2", "F3"), "dendriform"),
                             ("prelie2", ("PL",), "prelie"),
                             ("assoc_family", ("FA",), "associative"),
@@ -196,14 +192,10 @@ _FAMILY_LAWS = {
 _GRADED_KINDS = ("dendriform", "duplicial", "prelie")
 
 
-def _subterms(laws) -> list:
-    """Every product subterm of the laws once, operands first."""
-    return subterms(term for _, lhs, rhs in laws for term in monomials(lhs + rhs))
-
-
 def _ops(kind: str, laws, available, owner: str) -> tuple:
     """The operations the laws use; each must be among ``available``."""
-    names = tuple(sorted({term[0] for term in _subterms(laws)}))
+    names = tuple(sorted({term[0] for term in subterms(
+        term for _, lhs, rhs in laws for term in monomials(lhs + rhs))}))
     missing = [name for name in names if name not in available]
     if missing:
         raise PreconditionError(f"kind {kind!r} needs operation "
@@ -213,82 +205,77 @@ def _ops(kind: str, laws, available, owner: str) -> tuple:
 
 def _signed_sum(side, values) -> Vec:
     (term, sign), *rest = side
-    out = values[term][0] if sign > 0 else tuple(map(neg, values[term][0]))
+    out = values[term] if sign > 0 else tuple(map(neg, values[term]))
     for term, sign in rest:
-        out = tuple(map(add if sign > 0 else sub, out, values[term][0]))
+        out = tuple(map(add if sign > 0 else sub, out, values[term]))
     return out
 
 
-def _scan(report: LawReport, laws, cubes, grades, dim: int, w: int) -> LawReport:
-    """Add every violation ``(law id, (i, j, k, al, be, ga))`` of ``laws``
-    over the basis triples and parameter triples to ``report``.
-
-    A variable takes its basis vector and its parameter; a product node
-    whose operands carry p and q multiplies with ``cubes[op][p, q]`` and
-    carries ``grades[op][p][q]``.  Each subterm is computed once per
-    instance, on the cubes times the lcm of their denominators."""
-    terms = _subterms(laws)
+def _scan(report: LawReport, laws, cubes, dim: int) -> LawReport:
+    """Add every violation ``(id, (i, j, k) + params)`` of ``laws`` ``(id,
+    params, lhs, rhs)`` over the basis triples to ``report``, a node
+    ``(op, l, r)`` multiplying with ``cubes[op]``.  Each subterm is computed
+    once per basis triple, on the cubes times the lcm of their denominators."""
+    terms = subterms(term for *_, lhs, rhs in laws for term in monomials(lhs + rhs))
     names = {term[0] for term in terms}
-    scale = math.lcm(*(v.denominator for op in names for cube in cubes[op].values()
-                       for plane in cube for row in plane for v in row))
-    cubes = {op: {p: [[[v.numerator * (scale // v.denominator) for v in row] for row in plane]
-                      for plane in cube] for p, cube in cubes[op].items()} for op in names}
+    scale = math.lcm(*(v.denominator for op in names for plane in cubes[op]
+                       for row in plane for v in row))
+    cubes = {op: [[[v.numerator * (scale // v.denominator) for v in row] for row in plane]
+                  for plane in cubes[op]] for op in names}
     basis = [_basis(dim, n, int) for n in range(dim)]
     for i, j, k in itertools.product(range(dim), repeat=3):
-        for params in itertools.product(range(w), repeat=3):
-            values: dict = {X: (basis[i], params[0]), Y: (basis[j], params[1]),
-                            Z: (basis[k], params[2])}
-            for term in terms:
-                op, left, right = term
-                (u, p), (v, q) = values[left], values[right]
-                values[term] = (_product(cubes[op][p, q], u, v), grades[op][p][q])
-            for law_id, lhs, rhs in laws:
-                if _signed_sum(lhs, values) != _signed_sum(rhs, values):
-                    report.add(law_id, (i, j, k) + params)
-    report.details["instances"] = dim ** 3 * w ** 3 * len(laws)
+        values: dict = {X: basis[i], Y: basis[j], Z: basis[k]}
+        for term in terms:
+            op, left, right = term
+            values[term] = _product(cubes[op], values[left], values[right])
+        for law_id, params, lhs, rhs in laws:
+            if _signed_sum(lhs, values) != _signed_sum(rhs, values):
+                report.add(law_id, (i, j, k) + params)
+    report.details["instances"] = dim ** 3 * len(laws)
     return report
 
 
 def check_family_laws(a: FamilyBilinear, structure, kind: str) -> LawReport:
-    """Exact check of the family laws of ``kind`` on all basis and
-    parameter triples.  The parameter structure must satisfy its matching
-    laws first; a violation raises a precondition error naming the failed
-    identity."""
+    """Exact check of the family laws of ``kind``: the scan of the family
+    presentation's relations.  The parameter structure must satisfy its
+    matching laws first, or a precondition error names the failed identity."""
     if kind not in _FAMILY_LAWS:
         raise ValueError(f"unknown family kind {kind!r}")
-    laws, prereq = _FAMILY_LAWS[kind]
-    pre_report = omega_mod.check_laws(structure, prereq)
+    laws, presentation = _FAMILY_LAWS[kind]
+    pre_report = omega_mod.check_laws(structure, presentation.kind)
     if not pre_report.passed:
         law, args = pre_report.witnesses[0]
         raise PreconditionError(
-            f"parameter structure fails {prereq} identity {law} at {args}")
+            f"parameter structure fails {presentation.kind} identity {law} at {args}")
     names = _ops(kind, laws, a.ops, "the family")
     if a.omega_size != structure.size:
         raise ValueError("family and parameter structure sizes differ")
-    return _scan(LawReport(kind=kind), laws, a.ops,
-                 omega_mod.tables_by_op(structure, names), a.dim, a.omega_size)
+    # The family relations: at each parameter triple in lex order, the laws in order.
+    tags = itertools.product(itertools.product(range(a.omega_size), repeat=3), laws)
+    relations = omega_mod.family_presentation(presentation, structure).relations
+    cubes = {f"{g}_{p}_{q}": cube for g in names for (p, q), cube in a.ops[g].items()}
+    return _scan(LawReport(kind=kind), [(law[0], params, rel[:1], rel[1:])
+                                        for (params, law), rel in zip(tags, relations)],
+                 cubes, a.dim)
 
 
 def check_classic_laws(b, kind: str) -> LawReport:
-    """Classical (parameter-free) laws on all basis triples, exact: the
-    family scan with a single parameter value."""
+    """Classical (parameter-free) laws on all basis triples, exact."""
     if kind not in _CLASSIC_LAWS:
         raise ValueError(f"unknown classical kind {kind!r}")
     if isinstance(b, GradedBasisAlgebra):
-        cubes = {name: {(0, 0): cube} for name, cube in b.ops.items()}
+        cubes = b.ops
     elif isinstance(b, FamilyBilinear):
         if b.omega_size != 1:
             raise ValueError("classical checks need a graded algebra or a "
                              "single-parameter family")
-        cubes = b.ops
+        cubes = {name: by_param[0, 0] for name, by_param in b.ops.items()}
     else:
         raise TypeError("expected GradedBasisAlgebra or FamilyBilinear")
     laws = _CLASSIC_LAWS[kind]
-    names = _ops(kind, laws, cubes, "the algebra")
-    report = _scan(LawReport(kind=f"classic_{kind}"), laws, cubes,
-                   dict.fromkeys(names, ((0,),)), b.dim, 1)
-    report.witnesses = [(law, args[:3]) for law, args in report.witnesses]
-    return report
+    _ops(kind, laws, cubes, "the algebra")
+    return _scan(LawReport(kind=f"classic_{kind}"),
+                 [(law_id, (), lhs, rhs) for law_id, lhs, rhs in laws], cubes, b.dim)
 
 
 # ---------------------------------------------------------------------------

@@ -191,7 +191,7 @@ def term_arity(t) -> int:
 
 
 def term_leaves(t) -> list[int]:
-    if isinstance(t, int):
+    if not isinstance(t, tuple):
         return [t]
     return term_leaves(t[1]) + term_leaves(t[2])
 
@@ -252,21 +252,23 @@ class Presentation:
                 raise PreconditionError(f"generator {g!r} is repeated")
         object.__setattr__(self, "relations", tuple(map(tuple, self.relations)))
         for relation in self.relations:
-            if not all(isinstance(m, tuple) and len(m) == 2 and m[1] in (1, -1)
-                       for m in relation):
+            if not all(isinstance(m, tuple) and len(m) == 2 and type(m[1]) is int and
+                       m[1] in (1, -1) for m in relation):
                 raise PreconditionError("a relation member is a pair (term, sign), "
                                         "the sign 1 or -1")
             for t in monomials(relation):
+                leaves = term_leaves(t)
+                _integers("leaf label", *leaves)
                 unknown = {node[0] for node in subterms([t])} - set(self.generators)
                 if unknown:
                     raise PreconditionError(f"relation member {serialize_term(t)} applies "
                                             f"{', '.join(map(repr, sorted(unknown)))}, "
                                             "which is not a generator")
-                leaves = term_leaves(t)
                 planar_order = self.mode == "planar" and leaves != sorted(leaves)
-                if len(set(leaves)) < len(leaves) or planar_order:
-                    raise PreconditionError(f"relation member {serialize_term(t)} repeats a leaf "
-                                            "label or, in planar mode, breaks left-to-right order")
+                if set(leaves) != set(range(1, len(leaves) + 1)) or planar_order:
+                    raise PreconditionError(f"relation member {serialize_term(t)} does not "
+                                            f"carry the leaves 1..{len(leaves)} once each "
+                                            "or, in planar mode, left to right")
             if len({term_arity(t) for t in monomials(relation)}) > 1:
                 import warnings
                 warnings.warn("non-homogeneous relation class: the fixed-arity "
@@ -403,6 +405,27 @@ def tables_by_op(s, names) -> dict:
             raise PreconditionError(f"{name!r} reads the {field} table, which "
                                     f"the {type(s).__name__} lacks")
     return tables
+
+
+def family_presentation(p: Presentation, structure) -> Presentation:
+    """``p`` over ``structure``: at each parameter triple on the leaves 1, 2, 3
+    in lex order, each relation of ``p`` with every node ``(g, l, r)`` whose
+    operands carry a and b made ``g_a_b``, which carries g's table at (a, b)."""
+    tables = tables_by_op(structure, p.generators)
+    if any(term_arity(t) != 3 for relation in p.relations for t in monomials(relation)):
+        raise PreconditionError("a family presentation needs relation members of arity 3")
+    w = range(structure.size)
+    names = {(g, a, b): f"{g}_{a}_{b}" for g in p.generators for a in w for b in w}
+
+    def instantiate(term, params):  # the term and the parameter it carries
+        if isinstance(term, int):
+            return term, params[term - 1]
+        (left, a), (right, b) = instantiate(term[1], params), instantiate(term[2], params)
+        return (names[term[0], a, b], left, right), tables[term[0]][a][b]
+
+    relations = tuple(tuple((instantiate(t, params)[0], sign) for t, sign in relation)
+                      for params in itertools.product(w, repeat=3) for relation in p.relations)
+    return _trusted(Presentation, tuple(names.values()), p.mode, relations, None, ())
 
 
 def _tables_of(s, kind: str) -> dict:

@@ -58,18 +58,21 @@ def fresh_python(code: str, *argv: str) -> subprocess.CompletedProcess:
                           text=True, env=env, timeout=60)
 
 
-def test_a_command_loads_only_the_modules_it_uses(capsys):
+@pytest.mark.parametrize("argv", [["dims", "r", "--n", "3"],
+                                  ["dims", "count", "--n", "3", "--w", "2"]])
+def test_a_command_loads_only_the_modules_it_uses(capsys, argv):
     child = fresh_python(
         "import sys\n"
         "from famop.cli import main\n"
         "code = main(sys.argv[1:])\n"
         "print(*sorted(m for m in sys.modules if m.startswith('famop')), file=sys.stderr)\n"
-        "sys.exit(code)\n", "dims", "r", "--n", "3")
+        "sys.exit(code)\n", *argv)
     assert child.returncode == 0, child.stderr
     loaded = set(child.stderr.splitlines()[-1].split())
     assert "famop.dims" in loaded
-    assert not loaded & {"famop.linear", "famop.operads", "famop.duplicial"}
-    _, out, _ = run(capsys, ["dims", "r", "--n", "3"])
+    assert not loaded & {"famop.presentations", "famop.linear", "famop.operads",
+                         "famop.duplicial"}
+    _, out, _ = run(capsys, argv)
     assert child.stdout == out
 
 

@@ -188,10 +188,24 @@ def test_count_is_table_independent():
 
 
 @pytest.mark.parametrize("tables", [([[0]], [[0]]), (((0, 1), (0, 2)), ((0, 0), (0, 0))),
-                                    (((0, 1), (0, 1)), ((0, True), (0, 0)))])
+                                    (((0, 1), (0, 1)), ((0, True), (0, 0))),
+                                    # not a pair of tables
+                                    5, ((0, 0), (1, 1)), ((0, 0, 0), (1, 1, 1), (2, 2, 2)),
+                                    (((0, 0), (1, 1)),), ((0, 0), (1, 1), (0, 1))])
 def test_count_tables_must_be_w_by_w_over_the_parameters(tables):
     with pytest.raises(PreconditionError):
         count_basis_trees(3, 2, tables)
+
+
+@pytest.mark.parametrize("call,args", [
+    (IntPoly.monomial, (-1, 3)), (IntPoly.monomial, (1.0,)), (IntPoly.monomial, (True,)),
+    (IntPoly.monomial, (1, 1.0)), (dims.W.shift, (1.5,)), (dims.W.shift, (False,)),
+    (dims.W.divisible_by_power, (-1,)), (dims.W.divisible_by_power, (2.0,))])
+def test_intpoly_methods_refuse_what_is_not_an_integer_in_range(call, args):
+    with pytest.raises(PreconditionError):
+        call(*args)
+    assert IntPoly.monomial(0, 3) == IntPoly.const(3)
+    assert not IntPoly((0, 1)).divisible_by_power(2) and IntPoly((0, 1)).divisible_by_power(0)
 
 
 def test_count_bounds():

@@ -34,6 +34,12 @@ _SITES = [
     ("NatMultiset entry", lambda v: NatMultiset((1, v)), 1, None),
     ("TwistedMonomial multiplicity", lambda v: TwistedMonomial("a", "a", {"a": v}), 0, None),
     ("IntPoly coefficient", lambda v: dims.IntPoly((1, v)), None, None),
+    ("IntPoly.monomial power", lambda v: dims.IntPoly.monomial(v), 0, None),
+    ("IntPoly.monomial coefficient", lambda v: dims.IntPoly.monomial(1, v), None, None),
+    ("IntPoly.shift", lambda v: dims.W.shift(v), None, None),
+    ("IntPoly.divisible_by_power", lambda v: dims.W.divisible_by_power(v), 0, None),
+    ("relation leaf", lambda v: omega.Presentation(("f",), "planar", [
+        [(("f", ("f", v, 2), 3), 1), (("f", 1, ("f", 2, 3)), 1)]]), 1, 1),
     ("PolySeries order", lambda v: dims.PolySeries(v, (dims.ONE,)), 1, None),
     ("PolySeries.r", lambda v: dims.r_sequence(3).r(v), 1, 3),
     ("r_sequence", lambda v: dims.r_sequence(v), 1, None),

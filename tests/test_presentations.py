@@ -8,6 +8,7 @@ from hypothesis import strategies as st
 
 from famop import omega
 from famop import presentations as pr
+from famop.dims import count_basis_trees, r_sequence
 from famop.errors import (MixingConsistencyError, ParseError,
                           PreconditionError, ResourceBoundError)
 from famop.omega import Magma, OmegaStructure, ds_projections, eval_term
@@ -446,3 +447,110 @@ def test_presentation_json_round_trips_signed_members(relations):
 def test_unknown_preset():
     with pytest.raises(ValueError):
         preset("nonsense")
+
+
+# --- relation members are checked in full ---------------------------------
+
+
+@pytest.mark.parametrize("member", [
+    (("f", ("f", 1.5, 2), 3), 1), (("f", ("f", True, 2), 3), 1), (("f", ("f", 0, 2), 3), 1),
+    (("f", ("f", 1, 2), 5), 1), (("f", ("f", 1, "2"), 3), 1),
+    (("f", ("f", 1, 2), 3), True), (("f", ("f", 1, 2), 3), 1.0), (("f", ("f", 1, 2), 3), 0),
+])
+@pytest.mark.parametrize("mode", ["planar", "labeled"])
+def test_relation_members_are_checked_in_full(mode, member):
+    with pytest.raises(PreconditionError):
+        Presentation(["f"], mode, [[member, (("f", 1, ("f", 2, 3)), 1)]])
+
+
+@pytest.mark.parametrize("text", ["(f (f 0 2) 3)", "(f (f 1 2) 5)", "-(f (f 2 3) 4)"])
+def test_relation_members_read_from_json_are_checked_in_full(text):
+    with pytest.raises(PreconditionError):
+        Presentation.from_json({"generators": ["f"], "mode": "labeled",
+                                "relations": [[text, "(f 1 (f 2 3))"]]})
+
+
+# --- the family presentation -------------------------------------------------
+
+
+def _structure(p, w: int, seed: int):
+    """A seeded structure of size w with the tables the generators of ``p``
+    read; the family presentation needs no laws of it."""
+    rng = random.Random(seed)
+
+    def table():
+        return [[rng.randrange(w) for _ in range(w)] for _ in range(w)]
+    return OmegaStructure(w, table(), table()) if "prec" in p.generators else Magma(w, table())
+
+
+def _unparametrized(term):
+    if isinstance(term, int):
+        return term
+    return (term[0].removesuffix("_0_0"), _unparametrized(term[1]), _unparametrized(term[2]))
+
+
+@pytest.mark.parametrize("name", sorted(omega.RELATIONS))
+def test_the_family_presentation_at_size_one_is_the_presentation(name):
+    p = preset(name)
+    family = omega.family_presentation(p, _structure(p, 1, 0))
+    assert tuple(g.removesuffix("_0_0") for g in family.generators) == p.generators
+    assert family.mode == p.mode
+    assert tuple(tuple((_unparametrized(t), sign) for t, sign in relation)
+                 for relation in family.relations) == p.relations
+
+
+@pytest.mark.parametrize("name", sorted(omega.RELATIONS))
+def test_the_family_presentation_has_its_size_and_is_a_valid_presentation(name):
+    p = preset(name)
+    for w, seed in itertools.product((1, 2, 3), range(3)):
+        family = omega.family_presentation(p, _structure(p, w, seed))
+        assert len(family.generators) == len(p.generators) * w ** 2
+        assert len(family.relations) == len(p.relations) * w ** 3
+        assert Presentation(family.generators, family.mode, family.relations) == family
+
+
+def test_the_family_presentation_instantiates_every_node():
+    s = OmegaStructure(2, [[0, 0], [1, 1]], [[0, 1], [0, 1]])
+    family = omega.family_presentation(preset("dendriform"), s)
+    # the second relation at (a, b, c) = (1, 0, 1): (x succ_{1,0} y) prec_{ra(1,0), 1} z
+    # = x succ_{1, la(0,1)} (y prec_{0,1} z)
+    assert family.relations[3 * 0b101 + 1] == (
+        (("prec_0_1", ("succ_1_0", 1, 2), 3), 1), (("succ_1_0", 1, ("prec_0_1", 2, 3)), 1))
+
+
+def test_the_family_presentation_needs_members_of_arity_three():
+    m = "mul"
+    for relation in ([((m, 1, 2), 1), ((m, 2, 1), 1)],
+                     [((m, (m, 1, 2), (m, 3, 4)), 1), ((m, 1, (m, 2, (m, 3, 4))), 1)]):
+        p = Presentation([m], "labeled", [relation])
+        with pytest.raises(PreconditionError, match="arity 3"):
+            omega.family_presentation(p, Magma(1, [[0]]))
+
+
+@pytest.mark.parametrize("w,n", [(2, n) for n in range(1, 6)] + [(3, n) for n in range(1, 5)])
+def test_the_duplicial_family_quotient_has_dimension_r_n(w, n):
+    family = omega.family_presentation(preset("duplicial"), ds_projections(w))
+    classes = len(quotient_classes(family, n))
+    assert classes == r_sequence(n).r(n)(w) == count_basis_trees(n, w)
+
+
+_PAIRS_2 = [OmegaStructure(2, left, right)
+            for left, right in itertools.product(_TABLES_2, repeat=2)]
+
+
+def _arity_four_classes(s) -> int:
+    return len(quotient_classes(omega.family_presentation(preset("duplicial"), s), 4))
+
+
+def test_the_duplicial_family_has_dimension_r_4_on_duplicial_arrows_only():
+    duplicial = [s for s in _PAIRS_2 if omega.passes(s, "duplicial")]
+    others = random.Random(4).sample([s for s in _PAIRS_2 if s not in duplicial], 27)
+    assert len(duplicial) == 27
+    assert [_arity_four_classes(s) for s in duplicial] == [1664] * 27
+    assert 1664 not in [_arity_four_classes(s) for s in others]
+
+
+@pytest.mark.slow
+def test_the_duplicial_family_has_dimension_r_4_on_all_size_two_arrow_pairs():
+    for s in _PAIRS_2:
+        assert (_arity_four_classes(s) == 1664) == omega.passes(s, "duplicial")
