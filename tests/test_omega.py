@@ -378,6 +378,123 @@ def test_size4_arrow_counts(kind, count):
         assert check_laws(s, kind).passed
 
 
+def _arrow_laws(kind):
+    return tuple(law for law in KIND_LAWS[kind] if omega.law_tables(law) == {"la", "ra"})
+
+
+def _per_left_join(size, laws):
+    """The row-factored join run on every left arrow, with no orbits."""
+    assoc = omega._assoc_tables(size)
+    local = tuple(law for law in laws
+                  if omega._row_local(law[1], "ra", 0) and omega._row_local(law[2], "ra", 0))
+    rest = tuple(law for law in laws if law not in local)
+    local_check = omega.compile_laws(local)[1]
+    rest_check = omega.compile_laws(rest)[1] if rest else None
+    by_first: dict = {}
+    for table in assoc:
+        by_first.setdefault(table[0], []).append(table)
+    rows = list(itertools.product(range(size), repeat=size))
+    pairs = []
+    for left in assoc:
+        passing = [r for r in rows if local_check(None, size, left, (r,) * size) is None]
+        ok = set(passing)
+        for r in passing:
+            for right in by_first.get(r, ()):
+                if (ok.issuperset(right) and
+                        (rest_check is None or rest_check(None, size, left, right) is None)):
+                    pairs.append((left, right))
+    return pairs
+
+
+@pytest.mark.parametrize("kind,count", [("duplicial", 201501), ("diassociative", 15277)])
+def test_size4_orbit_join_matches_the_per_left_join(kind, count):
+    expected = _per_left_join(4, _arrow_laws(kind))
+    assert len(expected) == count
+    assert omega._arrow_pairs(4, _arrow_laws(kind)) == expected
+
+
+# --- relabelling the carrier -------------------------------------------------
+# The laws have no constants, so a permutation of the carrier maps the models
+# of a law set onto its models; the orbit walk of the enumeration relies on it.
+
+def _relabelled(table, sigma):
+    """The table ``t`` with ``t[sigma[a]][sigma[b]] = sigma[table[a][b]]``."""
+    n = len(table)
+    out = [[None] * n for _ in range(n)]
+    for a in range(n):
+        for b in range(n):
+            out[sigma[a]][sigma[b]] = sigma[table[a][b]]
+    return tuple(map(tuple, out))
+
+
+_MEMBERS: dict = {}
+
+
+def _members(size, kind):
+    if (size, kind) not in _MEMBERS:
+        _MEMBERS[size, kind] = enumerate_structures(size, kind)
+    return _MEMBERS[size, kind]
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.sampled_from([2, 3]), st.integers(0, 2 ** 32))
+def test_law_verdicts_are_invariant_under_relabelling(size, seed):
+    rng = random.Random(seed)
+    for kind in KIND_LAWS:
+        # Half members, some with one cell moved; half random tables.
+        if rng.random() < 0.5:
+            tables = [list(map(list, t)) for t in _table_fields(rng.choice(_members(size, kind)))]
+            if rng.random() < 0.5:
+                table = rng.choice(tables)
+                table[rng.randrange(size)][rng.randrange(size)] = rng.randrange(size)
+        else:
+            count = {"edus": 4, "diassociative": 2, "duplicial": 2}.get(kind, 1)
+            tables = [[[rng.randrange(size) for _ in range(size)] for _ in range(size)]
+                      for _ in range(count)]
+        s = _structure(size, tables)
+        verdict = check_laws(s, kind).passed
+        for sigma in itertools.permutations(range(size)):
+            moved = [_relabelled(t, sigma) for t in tables]
+            assert [omega._relabel(tuple(map(tuple, t)), sigma) for t in tables] == moved
+            assert check_laws(_structure(size, moved), kind).passed == verdict
+
+
+def _table_fields(s):
+    if isinstance(s, Magma):
+        return [s.table]
+    return [t for t in (s.left_arrow, s.right_arrow, s.left_tri, s.right_tri) if t is not None]
+
+
+def _structure(size, tables):
+    return Magma(size, *tables) if len(tables) == 1 else OmegaStructure(size, *tables)
+
+
+@pytest.mark.parametrize("kind", sorted(KIND_LAWS))
+def test_enumerations_are_closed_under_relabelling(kind):
+    for size in (2, 3):
+        found = {tuple(_table_fields(s)) for s in _members(size, kind)}
+        # The adjacent transpositions generate every permutation.
+        for k in range(size - 1):
+            swap = (*range(k), k + 1, k, *range(k + 2, size))
+            assert all(tuple(omega._relabel(t, swap) for t in s) in found for s in found)
+
+
+def test_the_edus_orbit_walk_matches_the_per_pair_search():
+    laws = KIND_LAWS["edus"]
+    lt_laws, rt_laws = (tuple(law for law in laws if op in omega.law_tables(law))
+                        for op in ("lt", "rt"))
+    pairs = [(s.left_arrow, s.right_arrow) for s in _members(3, "duplicial")]
+    assert len(pairs) == 1401
+    expected = []
+    for left, right in pairs:
+        arrows = {"la": left, "ra": right}
+        lts = omega._search_single(3, lt_laws, "lt", arrows)
+        rts = omega._search_single(3, rt_laws, "rt", arrows) if lts else []
+        expected += [(left, right, lt, rt) for lt in lts for rt in rts]
+    assert [tuple(_table_fields(s)) for s in _members(3, "edus")] == expected
+    assert len(expected) == 63141
+
+
 # --- the law compiler against the interpreter -------------------------------
 
 def _terms(k):

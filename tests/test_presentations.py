@@ -456,6 +456,8 @@ def test_unknown_preset():
     (("f", ("f", 1.5, 2), 3), 1), (("f", ("f", True, 2), 3), 1), (("f", ("f", 0, 2), 3), 1),
     (("f", ("f", 1, 2), 5), 1), (("f", ("f", 1, "2"), 3), 1),
     (("f", ("f", 1, 2), 3), True), (("f", ("f", 1, 2), 3), 1.0), (("f", ("f", 1, 2), 3), 0),
+    (("f", 1), 1), (("f", 1, 2, 3), 1), (("f", ("f", 1), 3), 1), (("f", 1, ("f", 2, 3, 4)), 1),
+    ((), 1), ((["f"], 1, 2), 1),
 ])
 @pytest.mark.parametrize("mode", ["planar", "labeled"])
 def test_relation_members_are_checked_in_full(mode, member):
@@ -525,6 +527,15 @@ def test_the_family_presentation_needs_members_of_arity_three():
         p = Presentation([m], "labeled", [relation])
         with pytest.raises(PreconditionError, match="arity 3"):
             omega.family_presentation(p, Magma(1, [[0]]))
+
+
+def test_a_generator_without_a_table_is_a_precondition_error():
+    p = Presentation(["f"], "planar", [[(("f", ("f", 1, 2), 3), 1), (("f", 1, ("f", 2, 3)), 1)]])
+    for structure in (Magma(2, [[0, 1], [1, 0]]), ds_projections(2)):
+        with pytest.raises(PreconditionError, match="no table for 'f'"):
+            omega.family_presentation(p, structure)
+        with pytest.raises(PreconditionError, match="no table for 'f'"):
+            omega.tables_by_op(structure, ["f"])
 
 
 @pytest.mark.parametrize("w,n", [(2, n) for n in range(1, 6)] + [(3, n) for n in range(1, 5)])
