@@ -11,6 +11,7 @@ the left-comb members of its relations.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import lru_cache
 
 from .errors import PreconditionError, ResourceBoundError
 from .omega import (RELATIONS, OmegaStructure, _integers, ds_projections, family_presentation,
@@ -217,6 +218,17 @@ def verify_identities(order: int) -> LawReport:
 # Pattern-avoiding oracle
 
 
+@lru_cache(maxsize=16)
+def _left_combs(structure: OmegaStructure) -> tuple:
+    """The generators of the family presentation of ``RELATIONS["duplicial"]``
+    over ``structure`` and the pairs (G, G') of its relations' left combs
+    (G, (G', 1, 2), 3)."""
+    family = family_presentation(RELATIONS["duplicial"], structure)
+    return family.generators, frozenset(
+        (t[0], t[1][0]) for relation in family.relations for t in monomials(relation)
+        if isinstance(t[1], tuple))
+
+
 def count_basis_trees(n: int, w: int, tables=None) -> int:
     """Count the trees with ``n`` leaves over the family presentation of
     ``RELATIONS["duplicial"]`` on the arrows ``tables`` (la, ra), by default
@@ -227,18 +239,16 @@ def count_basis_trees(n: int, w: int, tables=None) -> int:
         raise ResourceBoundError("count_basis_trees bound exceeded (n <= 8, w <= 4)")
     if tables is not None and not (isinstance(tables, (list, tuple)) and len(tables) == 2):
         raise PreconditionError("tables must be a pair (la, ra) of w x w tables")
-    family = family_presentation(RELATIONS["duplicial"], ds_projections(w) if tables is None
-                                 else OmegaStructure(w, *tables))
-    combs = {(t[0], t[1][0]) for relation in family.relations for t in monomials(relation)
-             if isinstance(t[1], tuple)}  # the left combs (G, (G', 1, 2), 3)
+    generators, combs = _left_combs(ds_projections(w) if tables is None
+                                    else OmegaStructure(w, *tables))
     count: list = [None, None]  # count[m][g]: the trees with m >= 2 leaves and root g
     total = [None, 1]  # total[m]: the trees with m leaves
-    left = [None, dict.fromkeys(family.generators, 1)]  # left[m][g]: those allowed left of g
+    left = [None, dict.fromkeys(generators, 1)]  # left[m][g]: those allowed left of g
     for m in range(2, n + 1):
         count.append({g: sum(left[i][g] * total[m - i] for i in range(1, m))
-                      for g in family.generators})
+                      for g in generators})
         total.append(sum(count[m].values()))
-        left.append(dict.fromkeys(family.generators, total[m]))
+        left.append(dict.fromkeys(generators, total[m]))
         for g, h in combs:
             left[m][g] -= count[m][h]
     return total[n]

@@ -259,7 +259,6 @@ class _Obligation:
     law: tuple  # (law id, lhs, rhs) as omega terms
     var_names: tuple  # the symbolic name of each term variable
     origin: tuple  # the symbolic operands (s, t, u); their parameters are _PARAMS
-    uses: list  # graded only: every (shapes, law id, var_names)
 
 
 def _collect_type_pairs(l, r, out: list):
@@ -289,11 +288,14 @@ def _shape(t) -> str:
 
 
 @lru_cache(maxsize=16)
-def _obligations(mode: str, max_vertices: int) -> tuple[_Obligation, ...]:
-    """The distinct per-edge type equations of the mode's laws over all
-    tree triples up to the vertex bound.  Decorations never enter a type
-    equation, so the shapes carry a single one.  A graded obligation also
-    keeps every use, as the graded report needs them all."""
+def _plan(mode: str, max_vertices: int) -> tuple:
+    """The mode's checking plan up to the vertex bound: its obligations, the
+    distinct per-edge type equations of its laws over all tree triples; their
+    compiled check ``(ops, check)``, held so that a call neither rebuilds nor
+    hashes the tuple of their laws; and, for ``graded``, every use of an
+    obligation by (shape texts, law id) as (obligation index, variable names),
+    which the graded report needs.  Decorations never enter a type equation,
+    so the shapes carry a single one."""
     pair, graded = mode == "two_param", mode == "graded"
     shapes = []
     for n in range(1, max_vertices + 1):
@@ -306,8 +308,10 @@ def _obligations(mode: str, max_vertices: int) -> tuple[_Obligation, ...]:
         return _retype(t, lambda _: next(names))
 
     # Each position's operands, every shape with its edges typed by that position's names.
-    operands = [[(t, fresh(t, prefix)) for t in shapes] for prefix in "stu"]
-    seen: dict = {}  # (lhs, rhs) -> its obligation
+    operands = [[(_shape(t), fresh(t, prefix)) for t in shapes] for prefix in "stu"]
+    seen: dict = {}  # (lhs, rhs) -> its obligation's index
+    obligations: list = []
+    uses: dict = {}
     for (s0, s), (t0, t), (u0, u) in itertools.product(*operands):
         for law_id, law in _MODE_LAWS[mode]:
             lhs, rhs = law(s, t, u, *_PARAMS, _SYM)
@@ -319,17 +323,12 @@ def _obligations(mode: str, max_vertices: int) -> tuple[_Obligation, ...]:
                 mapping: dict = {}
                 terms = (_rename(e1, mapping), _rename(e2, mapping))
                 if terms not in seen:
-                    seen[terms] = _Obligation((law_id,) + terms, tuple(mapping), (s, t, u), [])
+                    seen[terms] = len(obligations)
+                    obligations.append(_Obligation((law_id,) + terms, tuple(mapping), (s, t, u)))
                 if graded:
-                    seen[terms].uses.append(((s0, t0, u0), law_id, tuple(mapping)))
-    return tuple(seen.values())
-
-
-@lru_cache(maxsize=16)
-def _verdict(mode: str, max_vertices: int):
-    """The compiled check ``(ops, check)`` of every obligation at once, held
-    so that a call neither rebuilds nor hashes the tuple of their laws."""
-    return compile_laws(tuple(ob.law for ob in _obligations(mode, max_vertices)))
+                    uses.setdefault(((s0, t0, u0), law_id), []).append(
+                        (seen[terms], tuple(mapping)))
+    return tuple(obligations), compile_laws(tuple(ob.law for ob in obligations)), uses
 
 
 def _reproduce(law, args, o: OmegaStructure):
@@ -374,12 +373,22 @@ class GradedElement:
     color: int
 
 
+def _graded_node(gen: str, x: GradedElement, y: GradedElement, e: OmegaStructure):
+    """The graded product ``gen`` of non-leaf trees with colors in 0..size-1,
+    over a structure with the four extended duplicial tables."""
+    _tables_of(e, "edus")
+    if x.tree is None or y.tree is None:
+        raise PreconditionError("products are defined on non-leaf trees only")
+    _integers("color", x.color, y.color, low=0, high=e.size - 1)
+    return GradedElement(*_node("graded", gen, x.tree, x.color, y.tree, y.color, e))
+
+
 def graded_prec(x: GradedElement, y: GradedElement, e: OmegaStructure) -> GradedElement:
-    return GradedElement(*_node("graded", "prec", x.tree, x.color, y.tree, y.color, e))
+    return _graded_node("prec", x, y, e)
 
 
 def graded_succ(x: GradedElement, y: GradedElement, e: OmegaStructure) -> GradedElement:
-    return GradedElement(*_node("graded", "succ", x.tree, x.color, y.tree, y.color, e))
+    return _graded_node("succ", x, y, e)
 
 
 @lru_cache(maxsize=16)
@@ -391,26 +400,22 @@ def _graded_instances(max_vertices: int, x_size: int, size: int) -> int:
 
 
 @lru_cache(maxsize=4)
-def _graded_scan(max_vertices: int, x_size: int, size: int) -> tuple:
-    """The tree-color pairs in scan order, each (tree, color, shape, its variable values
-    as x, y and z), and the graded uses by (shapes, law id): (obligation index, names).
-    Only a failing structure needs them."""
+def _graded_scan(max_vertices: int, x_size: int, size: int) -> list:
+    """The tree-color pairs in scan order, each (tree, color, shape, text, its
+    variable values as x, y and z).  Only a failing structure needs them."""
     elements = []
     for n in range(1, max_vertices + 1):
         for t in trees.enumerate_trees(n, x_size, size, "single"):
             types: list = []  # in the order that ``_retype`` names them
             _retype(t, lambda e: types.append(e) or e)
-            elements += [(t, c, _shape(t), [dict(zip(_edge_names(p, False), types)) | {param: c}
-                                            for p, param in zip("stu", _PARAMS)])
+            shape, text = _shape(t), serialize(t)
+            elements += [(t, c, shape, text, [dict(zip(_edge_names(p, False), types)) | {param: c}
+                                              for p, param in zip("stu", _PARAMS)])
                          for c in range(size)]
-    uses: dict = {}
-    for i, ob in enumerate(_obligations("graded", max_vertices)):
-        for shapes, law_id, names in ob.uses:
-            uses.setdefault((tuple(map(_shape, shapes)), law_id), []).append((i, names))
-    return elements, uses
+    return elements
 
 
-def _graded_report(o: OmegaStructure, x_size: int, max_vertices: int, obligations,
+def _graded_report(o: OmegaStructure, x_size: int, max_vertices: int, obligations, uses,
                    tables: dict, first_witness_only: bool) -> LawReport:
     """G1-G3 on every triple of tree-color pairs, in order, each triple reported
     under every law that one of its uses of a violated obligation breaks."""
@@ -418,7 +423,7 @@ def _graded_report(o: OmegaStructure, x_size: int, max_vertices: int, obligation
     if instances > LAW_BUDGET:
         raise ResourceBoundError(f"graded scan at max_vertices {max_vertices}: over budget")
     report = LawReport(kind="graded")
-    elements, uses = _graded_scan(max_vertices, x_size, o.size)
+    elements = _graded_scan(max_vertices, x_size, o.size)
     laws = _MODE_LAWS["graded"]
 
     @lru_cache(maxsize=None)
@@ -427,15 +432,15 @@ def _graded_report(o: OmegaStructure, x_size: int, max_vertices: int, obligation
         first_violation((obligations[i].law,), tables, o.size, found)
         return {args for _, args in found}
 
-    for count, ((xt, xc, xs, xv), (yt, yc, ys, yv), (zt, zc, zs, zv)) in enumerate(
-            itertools.product(elements, repeat=3), 1):
+    for count, triple in enumerate(itertools.product(elements, repeat=3), 1):
+        (xt, xc, xs, xtext, xv), (yt, yc, ys, ytext, yv), (zt, zc, zs, ztext, zv) = triple
         env = xv[0] | yv[1] | zv[2]
         for law_id, law in laws:
             if any(tuple(map(env.__getitem__, names)) in bad(i)
                    for i, names in uses.get(((xs, ys, zs), law_id), ())):
                 if not report.witnesses:
                     _reproduce(law, (xt, yt, zt, xc, yc, zc), o)
-                report.add(law_id, (serialize(xt), xc, serialize(yt), yc, serialize(zt), zc))
+                report.add(law_id, (xtext, xc, ytext, yc, ztext, zc))
                 if first_witness_only:
                     report.details["instances"] = len(laws) * count
                     return report
@@ -466,14 +471,14 @@ def check_axioms(mode: str, o: OmegaStructure, x_size: int = 1,
     tables = _tables_of(o, _MODE_KINDS[mode])
     _integers("max_vertices", max_vertices)
     _integers("x_size", x_size)
-    obligations = _obligations(mode, max_vertices)
-    ops, check = _verdict(mode, max_vertices)
+    obligations, (ops, check), uses = _plan(mode, max_vertices)
     if check(None, o.size, *[tables[op] for op in ops]) is None:
         counts = ({"instances": _graded_instances(max_vertices, x_size, o.size)}
                   if mode == "graded" else {"obligations": len(obligations)})
         return LawReport(kind=mode, details=counts | {"max_vertices": max_vertices})
     if mode == "graded":
-        return _graded_report(o, x_size, max_vertices, obligations, tables, first_witness_only)
+        return _graded_report(o, x_size, max_vertices, obligations, uses, tables,
+                              first_witness_only)
     return _factored_report(mode, o, max_vertices, obligations, tables, first_witness_only)
 
 

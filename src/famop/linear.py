@@ -192,15 +192,13 @@ _FAMILY_LAWS = {
 _GRADED_KINDS = ("dendriform", "duplicial", "prelie")
 
 
-def _ops(kind: str, laws, available, owner: str) -> tuple:
-    """The operations the laws use; each must be among ``available``."""
-    names = tuple(sorted({term[0] for term in subterms(
-        term for _, lhs, rhs in laws for term in monomials(lhs + rhs))}))
-    missing = [name for name in names if name not in available]
+def _ops(kind: str, generators, available, owner: str) -> tuple:
+    """The generators of the kind's presentation; each must be among ``available``."""
+    missing = [name for name in generators if name not in available]
     if missing:
         raise PreconditionError(f"kind {kind!r} needs operation "
                                 f"{', '.join(map(repr, missing))}, which {owner} lacks")
-    return names
+    return generators
 
 
 def _signed_sum(side, values) -> Vec:
@@ -247,7 +245,7 @@ def check_family_laws(a: FamilyBilinear, structure, kind: str) -> LawReport:
         law, args = pre_report.witnesses[0]
         raise PreconditionError(
             f"parameter structure fails {presentation.kind} identity {law} at {args}")
-    names = _ops(kind, laws, a.ops, "the family")
+    names = _ops(kind, presentation.generators, a.ops, "the family")
     if a.omega_size != structure.size:
         raise ValueError("family and parameter structure sizes differ")
     # The family relations: at each parameter triple in lex order, the laws in order.
@@ -272,10 +270,10 @@ def check_classic_laws(b, kind: str) -> LawReport:
         cubes = {name: by_param[0, 0] for name, by_param in b.ops.items()}
     else:
         raise TypeError("expected GradedBasisAlgebra or FamilyBilinear")
-    laws = _CLASSIC_LAWS[kind]
-    _ops(kind, laws, cubes, "the algebra")
+    _ops(kind, RELATIONS[kind].generators, cubes, "the algebra")
     return _scan(LawReport(kind=f"classic_{kind}"),
-                 [(law_id, (), lhs, rhs) for law_id, lhs, rhs in laws], cubes, b.dim)
+                 [(law_id, (), lhs, rhs) for law_id, lhs, rhs in _CLASSIC_LAWS[kind]],
+                 cubes, b.dim)
 
 
 # ---------------------------------------------------------------------------
@@ -315,9 +313,9 @@ def make_graded(a: FamilyBilinear, structure, kind: str) -> GradedBasisAlgebra:
     (x (x) al) op (y (x) be) = (x op_{al,be} y) (x) (al op be)."""
     if kind not in _GRADED_KINDS:
         raise ValueError(f"unknown graded kind {kind!r}")
-    laws = _CLASSIC_LAWS[kind]
     w = a.omega_size
-    grades = omega_mod.tables_by_op(structure, _ops(kind, laws, a.ops, "the family"))
+    names = _ops(kind, RELATIONS[kind].generators, a.ops, "the family")
+    grades = omega_mod.tables_by_op(structure, names)
     if structure.size != w:
         raise ValueError("family and parameter structure sizes differ")
     dim = a.dim * w

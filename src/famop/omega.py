@@ -184,16 +184,14 @@ def from_semigroup(m: Magma) -> OmegaStructure:
 # Presentations.  A term is a leaf label 1..n or a tuple (gen, l, r).
 
 
-def term_arity(t) -> int:
-    if isinstance(t, int):
-        return 1
-    return term_arity(t[1]) + term_arity(t[2])
-
-
 def term_leaves(t) -> list[int]:
     if not isinstance(t, tuple):
         return [t]
     return term_leaves(t[1]) + term_leaves(t[2])
+
+
+def term_arity(t) -> int:
+    return len(term_leaves(t))
 
 
 def _triples(t) -> bool:
@@ -201,6 +199,27 @@ def _triples(t) -> bool:
     ``gen`` a string."""
     return not isinstance(t, tuple) or (len(t) == 3 and isinstance(t[0], str) and
                                         _triples(t[1]) and _triples(t[2]))
+
+
+def _checked_leaves(t, what: str) -> list[int]:
+    """The leaves of ``t``; ``PreconditionError`` unless every node is a triple
+    ``(gen, left, right)`` and every leaf a positive int."""
+    if not _triples(t):
+        raise PreconditionError(f"{what} {t!r} has a node that is not a triple "
+                                "(generator, left, right)")
+    leaves = term_leaves(t)
+    _integers("leaf label", *leaves)
+    return leaves
+
+
+def substitute(term, leaves, ops=None):
+    """``term`` with each leaf v replaced by ``leaves[v]`` and, when ``ops`` is
+    given, each generator g renamed ``ops[g]``."""
+    if isinstance(term, int):
+        return leaves[term]
+    gen, left, right = term
+    return (ops[gen] if ops else gen, substitute(left, leaves, ops),
+            substitute(right, leaves, ops))
 
 
 def serialize_term(t) -> str:
@@ -264,11 +283,7 @@ class Presentation:
                 raise PreconditionError("a relation member is a pair (term, sign), "
                                         "the sign 1 or -1")
             for t in monomials(relation):
-                if not _triples(t):
-                    raise PreconditionError(f"relation member {t!r} has a node that is not "
-                                            "a triple (generator, left, right)")
-                leaves = term_leaves(t)
-                _integers("leaf label", *leaves)
+                leaves = _checked_leaves(t, "relation member")
                 unknown = {node[0] for node in subterms([t])} - set(self.generators)
                 if unknown:
                     raise PreconditionError(f"relation member {serialize_term(t)} applies "
@@ -352,10 +367,7 @@ GENERATOR_OPS = {"prec": "la", "succ": "ra", "rhd": "mul", "mul": "mul"}
 def law_term(term, ops=None):
     """A term over leaves 1..n as a compiler term over variables 0..n-1,
     each generator renamed through ``ops`` when given."""
-    if isinstance(term, int):
-        return term - 1
-    gen, left, right = term
-    return (ops[gen] if ops else gen, law_term(left, ops), law_term(right, ops))
+    return substitute(term, {v: v - 1 for v in term_leaves(term)}, ops)
 
 
 # Compatibility of the triangles with the arrows in an extended duplicial
@@ -460,13 +472,6 @@ def eval_term(term, tables: dict, env):
 # The law compiler
 
 
-def _depth(term) -> int:
-    """The innermost loop a term's value depends on: its largest variable."""
-    if isinstance(term, int):
-        return term
-    return max(_depth(term[1]), _depth(term[2]))
-
-
 @lru_cache(maxsize=512)
 def compile_laws(laws):
     """Compile laws ``(id, lhs, rhs)`` over variables ``0..k-1`` into one
@@ -487,24 +492,11 @@ def compile_laws(laws):
     Only indices reach the generated source; operation names and law ids,
     which may come from user input, never do.
     """
-    used: set = set()
-    k = 0
-
-    def scan(term):
-        nonlocal k
-        if isinstance(term, int):
-            if term < 0:
-                raise ValueError(f"variable {term} is negative")
-            k = max(k, term + 1)
-            return
-        used.add(term[0])
-        scan(term[1])
-        scan(term[2])
-
-    for _, lhs, rhs in laws:
-        scan(lhs)
-        scan(rhs)
-    ops = sorted(used)
+    variables = [v for law in laws for side in law[1:] for v in term_leaves(side)]
+    if min(variables, default=0) < 0:
+        raise ValueError(f"variable {min(variables)} is negative")
+    k = max(variables, default=-1) + 1
+    ops = sorted(frozenset().union(*map(law_tables, laws)))
     body: list = [[] for _ in range(k)]  # statements at each loop depth
     names: dict = {}
     rows: dict = {}
@@ -517,9 +509,9 @@ def compile_laws(laws):
             lname, rname = name(l), name(r)
             if (op, l) not in rows:
                 rows[op, l] = f"r{len(rows)}"
-                body[_depth(l)].append(f"{rows[op, l]} = t{ops.index(op)}[{lname}]")
+                body[max(term_leaves(l))].append(f"{rows[op, l]} = t{ops.index(op)}[{lname}]")
             names[term] = f"e{len(names)}"
-            body[_depth(term)].append(f"{names[term]} = {rows[op, l]}[{rname}]")
+            body[max(term_leaves(term))].append(f"{names[term]} = {rows[op, l]}[{rname}]")
         return names[term]
 
     args = "(" + "".join(f"v{i}, " for i in range(k)) + ")"

@@ -15,7 +15,7 @@ from dataclasses import dataclass
 
 from . import presentations
 from .errors import LAW_BUDGET, PreconditionError, ResourceBoundError
-from .omega import TwistedMonomial, _integers, _json_fields, twisted_product
+from .omega import TwistedMonomial, _integers, _json_fields, model_product, twisted_product
 from .report import LawReport
 
 
@@ -322,11 +322,9 @@ def _fresh_labels(used: frozenset, n: int) -> list[str]:
 def binary_product(which: str, x, y):
     """The product obtained by plugging both arguments into the binary
     generator: first x at its left input, then y at its right input."""
-    if which == "twisted_monomials":
-        return twisted_product(x, y)
-    if which == "multisets":
-        from .omega import multiset_product
-        return multiset_product(x, y)
+    models = {"twisted_monomials": "twisted_monomials", "multisets": "nat_multisets"}
+    if which in models:
+        return model_product(models[which], x, y)
     if which not in _OPERADS:
         raise TypeError(f"unknown operad {which!r}")
     _require_disjoint(x.carrier, y.carrier)

@@ -17,9 +17,9 @@ import itertools
 from dataclasses import dataclass
 
 from .errors import MixingConsistencyError, ResourceBoundError
-from .omega import (RELATIONS, Presentation, _digits, _freeze_table, _integers, eval_term,
-                    first_violation, law_term, monomials, serialize_term, tables_by_op,
-                    term_arity, term_leaves)
+from .omega import (RELATIONS, Presentation, _checked_leaves, _digits, _freeze_table, _integers,
+                    eval_term, first_violation, law_term, monomials, serialize_term, substitute,
+                    tables_by_op, term_arity, term_leaves)
 from .trees import Bracketed
 
 Term = object  # int leaf label | (gen, Term, Term)
@@ -68,12 +68,6 @@ def _shapes(n_leaves: int, gens) -> list[Term]:
     return rec(tuple(range(1, n_leaves + 1)))
 
 
-def _relabel(t: Term, mapping: dict) -> Term:
-    if isinstance(t, int):
-        return mapping[t]
-    return (t[0], _relabel(t[1], mapping), _relabel(t[2], mapping))
-
-
 def enumerate_terms(p: Presentation, arity: int) -> list[Term]:
     """Complete canonical list of terms at one arity.  A planar shape and a
     leaf permutation fix a labeled term, so no term repeats."""
@@ -88,8 +82,7 @@ def enumerate_terms(p: Presentation, arity: int) -> list[Term]:
     for t in planar:
         positions = term_leaves(t)
         for perm in itertools.permutations(range(1, arity + 1)):
-            mapping = dict(zip(positions, perm))
-            out.append(_relabel(t, mapping))
+            out.append(substitute(t, dict(zip(positions, perm))))
     return sorted(out, key=serialize_term)
 
 
@@ -124,7 +117,7 @@ def _rewrites(t: Term, swaps) -> list[Term]:
         binding: dict = {}
         if _match(member, t, binding):
             for other in others:
-                out.append(_relabel(other, binding))
+                out.append(substitute(other, binding))
     for rewritten in _rewrites(t[1], swaps):
         out.append((t[0], rewritten, t[2]))
     for rewritten in _rewrites(t[2], swaps):
@@ -173,11 +166,11 @@ def quotient_classes(p: Presentation, arity: int) -> list[list[Term]]:
 def compose_terms(x: Term, a: int, y: Term) -> Term:
     """Partial composition: plug ``y`` into the leaf of ``x`` labeled ``a``,
     renumbering so the result reads 1..(n+m-1)."""
-    _integers("position", a, high=term_arity(x))
-    m = term_arity(y)
-    y_shifted = _relabel(y, {leaf: leaf + a - 1 for leaf in term_leaves(y)})
-    return _relabel(x, {leaf: leaf if leaf < a else y_shifted if leaf == a else leaf + m - 1
-                        for leaf in term_leaves(x)})
+    x_leaves, y_leaves = _checked_leaves(x, "term"), _checked_leaves(y, "term")
+    _integers("position", a, high=len(x_leaves))
+    y_shifted = substitute(y, {leaf: leaf + a - 1 for leaf in y_leaves})
+    return substitute(x, {leaf: leaf if leaf < a else y_shifted if leaf == a
+                          else leaf + len(y_leaves) - 1 for leaf in x_leaves})
 
 
 # ---------------------------------------------------------------------------
@@ -192,7 +185,7 @@ class ColoredTerm:
 
     def __post_init__(self):
         object.__setattr__(self, "input_colors", tuple(self.input_colors))
-        if len(self.input_colors) != term_arity(self.term):
+        if len(self.input_colors) != len(_checked_leaves(self.term, "term")):
             raise ValueError("one input color per leaf required")
 
 

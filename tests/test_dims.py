@@ -7,6 +7,7 @@ from famop import dims
 from famop.dims import (IntPoly, catalan, count_basis_trees, cubic_residual,
                         evaluate, r_sequence, verify_identities)
 from famop.errors import PreconditionError, ResourceBoundError
+from famop.omega import OmegaStructure, ds_projections
 
 # The eight reference polynomials, ascending coefficients.
 REFERENCE = {
@@ -185,6 +186,22 @@ def test_count_is_table_independent():
     base = count_basis_trees(4, 2)
     for tables in itertools.product((left, right, xor, const), repeat=2):
         assert count_basis_trees(4, 2, tables=tables) == base
+
+
+def test_count_reads_the_left_combs_once_per_structure(monkeypatch):
+    built = []
+    real = dims.family_presentation
+    monkeypatch.setattr(dims, "family_presentation", lambda p, s: built.append(s) or real(p, s))
+    dims._left_combs.cache_clear()
+    try:
+        counts = [count_basis_trees(n, 3) for n in range(1, 9)] + [count_basis_trees(n, 3)
+                                                                   for n in range(1, 9)]
+        assert count_basis_trees(4, 2, tables=(((0, 1), (0, 1)),) * 2) == count_basis_trees(4, 2)
+    finally:
+        dims._left_combs.cache_clear()
+    assert counts[:8] == counts[8:] == [r_sequence(8).r(n)(3) for n in range(1, 9)]
+    assert built == [ds_projections(3), OmegaStructure(2, ((0, 1), (0, 1)), ((0, 1), (0, 1))),
+                     ds_projections(2)]
 
 
 @pytest.mark.parametrize("tables", [([[0]], [[0]]), (((0, 1), (0, 2)), ((0, 0), (0, 0))),

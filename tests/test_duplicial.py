@@ -192,7 +192,7 @@ def _per_obligation(mode, o, max_vertices, first_witness_only):
     """The factored check with one compiled call per obligation, each
     violated obligation reported at its first point, in obligation order."""
     report = LawReport(kind=mode)
-    obligations = duplicial._obligations(mode, max_vertices)
+    obligations = duplicial._plan(mode, max_vertices)[0]
     report.details["obligations"] = len(obligations)
     tables = omega.tables_by_op(o, ("la", "ra", "lt", "rt") if mode == "one_param"
                                 else ("la", "ra"))
@@ -235,12 +235,12 @@ def test_a_passing_structure_makes_one_compiled_call(monkeypatch):
         walks.append(args[0])
         return omega.first_violation(*args, **kwargs)
 
-    duplicial._verdict.cache_clear()
+    duplicial._plan.cache_clear()
     monkeypatch.setattr(duplicial, "compile_laws", counting_compile)
     monkeypatch.setattr(duplicial, "first_violation", counting_walk)
     try:
         for mode, s in (("two_param", PROJ2), ("one_param", EDUS2[0]), ("graded", EDUS2[0])):
-            laws = tuple(ob.law for ob in duplicial._obligations(mode, 3))
+            laws = tuple(ob.law for ob in duplicial._plan(mode, 3)[0])
             for first in (False, True):
                 verdicts.clear()
                 assert check_axioms(mode, s, max_vertices=3, first_witness_only=first).passed
@@ -249,9 +249,9 @@ def test_a_passing_structure_makes_one_compiled_call(monkeypatch):
         verdicts.clear()
         assert not check_axioms("one_param", NON_EDUS, max_vertices=3).passed
         assert len(verdicts) == 1
-        assert walks == [(ob.law,) for ob in duplicial._obligations("one_param", 3)]
+        assert walks == [(ob.law,) for ob in duplicial._plan("one_param", 3)[0]]
     finally:
-        duplicial._verdict.cache_clear()  # drop the counting checkers
+        duplicial._plan.cache_clear()  # drop the counting checkers
 
 
 # --- the tree laws from the duplicial relation against literal ones -----------
@@ -286,18 +286,18 @@ def test_tree_laws_from_the_relation_match_the_literal_ones(monkeypatch):
     assert len(samples) == 67
 
     def reports():
-        return ([[ob.law for ob in duplicial._obligations("two_param", n)] for n in (2, 3)]
+        return ([[ob.law for ob in duplicial._plan("two_param", n)[0]] for n in (2, 3)]
                 + [check_axioms("two_param", s, max_vertices=n).to_json()
                    for n in (2, 3) for s in samples])
 
     derived = reports()
-    duplicial._obligations.cache_clear()
+    duplicial._plan.cache_clear()
     monkeypatch.setitem(duplicial._MODE_LAWS, "two_param",
                         (("TP1", _literal_tp1), ("TP2", _literal_tp2), ("TP3", _literal_tp3)))
     try:
         literal = reports()
     finally:
-        duplicial._obligations.cache_clear()
+        duplicial._plan.cache_clear()
     assert derived == literal
     assert sum(not r["passed"] for r in literal[2:]) == 80
 
@@ -425,7 +425,7 @@ def test_graded_laws_from_the_relation_match_the_literal_scan():
 def test_a_passing_graded_check_builds_no_elements(monkeypatch):
     counts = {}
     for x_size, max_vertices in ((1, 2), (2, 3)):
-        elements, _ = duplicial._graded_scan(max_vertices, x_size, 2)
+        elements = duplicial._graded_scan(max_vertices, x_size, 2)
         counts[x_size, max_vertices] = 3 * len(elements) ** 3
     monkeypatch.setattr(duplicial, "_graded_scan", None)
     for (x_size, max_vertices), instances in counts.items():
@@ -439,7 +439,7 @@ def test_a_passing_graded_check_builds_no_elements(monkeypatch):
 
 
 def test_graded_obligation_counts():
-    assert [len(duplicial._obligations("graded", k)) for k in (1, 2, 3)] == [9, 27, 53]
+    assert [len(duplicial._plan("graded", k)[0]) for k in (1, 2, 3)] == [9, 27, 53]
 
 
 def test_graded_products_color_rule():
@@ -450,6 +450,36 @@ def test_graded_products_color_rule():
     assert graded_succ(a, b, e).color == e.ra(0, 1)
     assert graded_prec(a, b, e).tree == duplicial._prec1_raw(
         x_(), e.lt(0, 1), y_(), e)
+
+
+def test_graded_products_refuse_bad_colors_structures_and_leaf_trees():
+    e, x = EDUS2[0], GradedElement(x_(), 0)
+    for product in (graded_prec, graded_succ):
+        for color in (-1, 2, True, 1.0, "0", None):
+            with pytest.raises(PreconditionError):
+                product(GradedElement(x_(), color), x, e)
+            with pytest.raises(PreconditionError):
+                product(x, GradedElement(x_(), color), e)
+        for structure in (omega.Magma(2, [[0, 0], [0, 0]]), PROJ2):
+            with pytest.raises(PreconditionError):
+                product(x, x, structure)
+        with pytest.raises(PreconditionError):
+            product(GradedElement(None, 0), x, e)
+        with pytest.raises(PreconditionError):
+            product(x, GradedElement(None, 0), e)
+        assert product(x, x, NON_EDUS).tree is not None  # the tables suffice, not the laws
+
+
+def test_the_graded_report_serializes_each_element_once(monkeypatch):
+    calls = []
+    monkeypatch.setattr(duplicial, "serialize", lambda t: calls.append(t) or serialize(t))
+    duplicial._graded_scan.cache_clear()
+    try:
+        report = check_axioms("graded", NON_EDUS, max_vertices=2)
+        elements = duplicial._graded_scan(2, 1, 2)
+    finally:
+        duplicial._graded_scan.cache_clear()
+    assert len(report.witnesses) > len(elements) and len(calls) * 2 == len(elements)
 
 
 def test_check_axioms_mode_validation():

@@ -15,6 +15,7 @@ _X = trees.parse("(x . . _ _)")
 _DUP = presentations.preset("duplicial")
 _TABLES = presentations.omega_algebra_from_structure(_DUP, _PROJ2)
 _COLORED = presentations.ColoredTerm(("f", 1, 2), (0, 1), 0)
+_GRADED = duplicial.GradedElement
 
 
 def _tree_json(edge):
@@ -53,6 +54,10 @@ _SITES = [
      lambda v: duplicial.check_axioms("graded", _EDUS1, x_size=v, max_vertices=1), 1, None),
     ("prec2 edge", lambda v: duplicial.prec2(_X, _X, v, 0, _PROJ2), 0, 1),
     ("prec1 edge", lambda v: duplicial.prec1(_X, _X, v, _EDUS1), 0, 0),
+    ("graded_prec color",
+     lambda v: duplicial.graded_prec(_GRADED(_X, v), _GRADED(_X, 0), _EDUS1), 0, 0),
+    ("graded_succ color",
+     lambda v: duplicial.graded_succ(_GRADED(_X, 0), _GRADED(_X, v), _EDUS1), 0, 0),
     ("check_operad_laws", lambda v: operads.check_operad_laws("pairs", v), 1, None),
     ("perm_surjection", lambda v: operads.perm_surjection("pairs", v), 1, None),
     ("psi_phi_roundtrip", lambda v: operads.psi_phi_roundtrip(v), 1, None),

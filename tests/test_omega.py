@@ -12,6 +12,7 @@ from famop.errors import PreconditionError, ResourceBoundError
 from famop.omega import (Magma, NatMultiset, OmegaStructure, TwistedMonomial,
                          check_laws, ds_projections, enumerate_structures,
                          from_semigroup, model_product)
+from famop.presentations import parse_term
 
 ALL_TABLES_2 = [tuple(tuple(cells[i * 2:(i + 1) * 2]) for i in range(2))
                 for cells in itertools.product(range(2), repeat=4)]
@@ -571,6 +572,39 @@ def test_compiled_laws_on_partial_tables(case):
     padded = {op: [[size if v is None else v for v in row] + [size] for row in t]
               + [[size] * (size + 1)] for op, t in partial.items()}
     assert _compiled(laws, size, padded) == _reference(laws, size, evaluate)
+
+
+def test_an_empty_law_set_compiles_to_a_check_that_reports_nothing():
+    ops, check = omega.compile_laws(())
+    found: list = []
+    assert ops == () and check(None, 3) is None and check(found, 3) is None and found == []
+    assert omega.first_violation((), {}, 2) is None
+    with pytest.raises(ValueError, match="variable -1 is negative"):
+        omega.compile_laws((("L", ("f", 0, -1), 0),))
+
+
+# --- the one substitution of terms --------------------------------------------
+
+_TERMS = st.recursive(st.integers(1, 4), lambda sub: st.tuples(st.sampled_from(["f", "g"]),
+                                                                 sub, sub), max_leaves=6)
+
+
+def _substitute_by_text(term, leaves, ops):
+    """The substitution through the term's text: each leaf word is replaced by
+    the text of its image and each generator word renamed."""
+    words = omega.serialize_term(term).replace("(", "( ").replace(")", " )").split()
+    return parse_term(" ".join(
+        w if w in ("(", ")") else omega.serialize_term(leaves[int(w)]) if w.isdigit()
+        else (ops or {}).get(w, w) for w in words))
+
+
+@settings(max_examples=300, deadline=None)
+@given(_TERMS, st.fixed_dictionaries({v: st.integers(1, 9) | _TERMS for v in range(1, 5)}),
+       st.none() | st.fixed_dictionaries({g: st.sampled_from(["la", "ra", "mul"])
+                                          for g in ("f", "g")}))
+def test_substitute_is_the_relabelling_of_the_term_text(term, leaves, ops):
+    assert omega.substitute(term, leaves, ops) == _substitute_by_text(term, leaves, ops)
+    assert omega.substitute(term, {v: v for v in range(1, 5)}) == term
 
 
 # --- symbolic models ---------------------------------------------------------

@@ -89,6 +89,10 @@ def test_binary_product_model_dispatch():
     assert got == TwistedMonomial("d", "e", {"d": 1, "e": 1})
     with pytest.raises(TypeError):
         binary_product("nonsense", NatMultiset(), NatMultiset())
+    with pytest.raises(TypeError):
+        binary_product("multisets", TwistedMonomial("d", "d"), NatMultiset())
+    with pytest.raises(TypeError):
+        binary_product("twisted_monomials", NatMultiset(), NatMultiset())
 
 
 def test_twist_identity_for_pairs_at_small_sizes():

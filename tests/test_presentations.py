@@ -132,7 +132,10 @@ def _literal_compose(x, a, y):
             return t
         return (t[0], fill(t[1], spliced), fill(t[2], spliced))
 
-    return fill(shift_x(x), pr._relabel(y, {lbl: lbl + a - 1 for lbl in term_leaves(y)}))
+    def shift_y(t):
+        return t + a - 1 if isinstance(t, int) else (t[0], shift_y(t[1]), shift_y(t[2]))
+
+    return fill(shift_x(x), shift_y(y))
 
 
 def test_compose_terms_matches_the_literal_route():
@@ -145,6 +148,17 @@ def test_compose_terms_matches_the_literal_route():
                 assert compose_terms(x, a, y) == _literal_compose(x, a, y)
     with pytest.raises(ValueError):
         compose_terms(("f", 1, 2), 3, ("g", 1, 2))
+
+
+@pytest.mark.parametrize("bad", [("f", 1), ("f", 1, 2, 3), (1, 1, 2), ("f", ("g", 1), 2),
+                                 ("f", 1.5, 2), ("f", 0, 1), ("f", True, 2), ("f", [1], 2)])
+def test_a_malformed_term_is_refused_with_a_precondition_error(bad):
+    with pytest.raises(PreconditionError):
+        compose_terms(bad, 1, ("g", 1, 2))
+    with pytest.raises(PreconditionError):
+        compose_terms(("g", 1, 2), 1, bad)
+    with pytest.raises(PreconditionError):
+        ColoredTerm(bad, (0, 0), 0)
 
 
 def test_colored_compose_matching_and_mismatch():
