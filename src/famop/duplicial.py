@@ -374,11 +374,12 @@ class GradedElement:
 
 
 def _graded_node(gen: str, x: GradedElement, y: GradedElement, e: OmegaStructure):
-    """The graded product ``gen`` of non-leaf trees with colors in 0..size-1,
-    over a structure with the four extended duplicial tables."""
+    """The graded product ``gen`` of graded elements on non-leaf trees, colors
+    in 0..size-1, over a structure with the four extended duplicial tables."""
     _tables_of(e, "edus")
-    if x.tree is None or y.tree is None:
-        raise PreconditionError("products are defined on non-leaf trees only")
+    if not (isinstance(x, GradedElement) and isinstance(y, GradedElement) and
+            isinstance(x.tree, Node) and isinstance(y.tree, Node)):
+        raise PreconditionError("graded products take GradedElements holding non-leaf trees")
     _integers("color", x.color, y.color, low=0, high=e.size - 1)
     return GradedElement(*_node("graded", gen, x.tree, x.color, y.tree, y.color, e))
 

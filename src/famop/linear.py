@@ -154,40 +154,27 @@ def random_family(dim: int, omega_size: int, op_names, seed: int,
 
 
 # ---------------------------------------------------------------------------
-# Laws.  A law is (id, lhs, rhs): a relation of ``omega.RELATIONS`` split
-# after its first member, each side a tuple of (term, sign) over the leaves
-# x = 1, y = 2, z = 3.
+# Laws.  A kind's laws are the relations of its registry presentation over
+# the leaves x = 1, y = 2, z = 3; each table gives their ids in order.
 
-X, Y, Z = 1, 2, 3
-
-
-def _named(ids, name: str) -> tuple:
-    """The relations of ``name`` as laws, each homogeneous for ``_scan``."""
-    laws = tuple((law_id, relation[:1], relation[1:])
-                 for law_id, relation in zip(ids, RELATIONS[name].relations))
-    for law_id, lhs, rhs in laws:
-        if len({term_arity(term) for term in monomials(lhs + rhs)}) != 1:
-            raise ValueError(f"law {law_id} mixes monomials of different degrees")
-    return laws
+_CLASSIC_LAWS = {"dendriform": ("C1", "C2", "C3"), "duplicial": ("C1", "C2", "C3"),
+                 "prelie": ("prelie",), "associative": ("assoc",)}
+# Each family kind: its registry presentation, which also defines the kind of
+# its parameter structure, and its laws' ids.
+_FAMILY_LAWS = {"dendriform2": ("dendriform", ("F1", "F2", "F3")), "prelie2": ("prelie", ("PL",)),
+                "assoc_family": ("associative", ("FA",)), "twisted_family": ("twist", ("FT",)),
+                "napnap_family": ("napnap", ("FN1", "FN2"))}
 
 
-_CLASSIC_LAWS = {
-    "dendriform": _named(("C1", "C2", "C3"), "dendriform"),
-    "duplicial": _named(("C1", "C2", "C3"), "duplicial"),
-    "prelie": _named(("prelie",), "prelie"),
-    "associative": _named(("assoc",), "associative"),
-}
+def _homogeneous(*laws) -> None:
+    """``ValueError`` naming any law of each ``(name, ids)`` that mixes degrees."""
+    for name, ids in laws:
+        for law_id, relation in zip(ids, RELATIONS[name].relations):
+            if len({term_arity(term) for term in monomials(relation)}) != 1:
+                raise ValueError(f"law {law_id} mixes monomials of different degrees")
 
-# Each family kind: its laws and the presentation they come from, which
-# also defines the kind of its parameter structure.
-_FAMILY_LAWS = {
-    kind: (_named(ids, name), RELATIONS[name])
-    for kind, ids, name in (("dendriform2", ("F1", "F2", "F3"), "dendriform"),
-                            ("prelie2", ("PL",), "prelie"),
-                            ("assoc_family", ("FA",), "associative"),
-                            ("twisted_family", ("FT",), "twist"),
-                            ("napnap_family", ("FN1", "FN2"), "napnap"))
-}
+
+_homogeneous(*_CLASSIC_LAWS.items(), *_FAMILY_LAWS.values())
 
 _GRADED_KINDS = ("dendriform", "duplicial", "prelie")
 
@@ -211,10 +198,11 @@ def _signed_sum(side, values) -> Vec:
 
 def _scan(report: LawReport, laws, cubes, dim: int) -> LawReport:
     """Add every violation ``(id, (i, j, k) + params)`` of ``laws`` ``(id,
-    params, lhs, rhs)`` over the basis triples to ``report``, a node
+    params, relation)`` over the basis triples to ``report``, a node
     ``(op, l, r)`` multiplying with ``cubes[op]``.  Each subterm is computed
     once per basis triple, on the cubes times the lcm of their denominators."""
-    terms = subterms(term for *_, lhs, rhs in laws for term in monomials(lhs + rhs))
+    terms = subterms(term for *_, relation in laws for term in monomials(relation))
+    laws = [(law_id, params, relation[:1], relation[1:]) for law_id, params, relation in laws]
     names = {term[0] for term in terms}
     scale = math.lcm(*(v.denominator for op in names for plane in cubes[op]
                        for row in plane for v in row))
@@ -222,7 +210,7 @@ def _scan(report: LawReport, laws, cubes, dim: int) -> LawReport:
                   for plane in cubes[op]] for op in names}
     basis = [_basis(dim, n, int) for n in range(dim)]
     for i, j, k in itertools.product(range(dim), repeat=3):
-        values: dict = {X: basis[i], Y: basis[j], Z: basis[k]}
+        values: dict = {1: basis[i], 2: basis[j], 3: basis[k]}
         for term in terms:
             op, left, right = term
             values[term] = _product(cubes[op], values[left], values[right])
@@ -239,7 +227,8 @@ def check_family_laws(a: FamilyBilinear, structure, kind: str) -> LawReport:
     matching laws first, or a precondition error names the failed identity."""
     if kind not in _FAMILY_LAWS:
         raise ValueError(f"unknown family kind {kind!r}")
-    laws, presentation = _FAMILY_LAWS[kind]
+    name, ids = _FAMILY_LAWS[kind]
+    presentation = RELATIONS[name]
     pre_report = omega_mod.check_laws(structure, presentation.kind)
     if not pre_report.passed:
         law, args = pre_report.witnesses[0]
@@ -249,12 +238,11 @@ def check_family_laws(a: FamilyBilinear, structure, kind: str) -> LawReport:
     if a.omega_size != structure.size:
         raise ValueError("family and parameter structure sizes differ")
     # The family relations: at each parameter triple in lex order, the laws in order.
-    tags = itertools.product(itertools.product(range(a.omega_size), repeat=3), laws)
+    tags = itertools.product(itertools.product(range(a.omega_size), repeat=3), ids)
     relations = omega_mod.family_presentation(presentation, structure).relations
     cubes = {f"{g}_{p}_{q}": cube for g in names for (p, q), cube in a.ops[g].items()}
-    return _scan(LawReport(kind=kind), [(law[0], params, rel[:1], rel[1:])
-                                        for (params, law), rel in zip(tags, relations)],
-                 cubes, a.dim)
+    return _scan(LawReport(kind=kind), [(law_id, params, relation) for (params, law_id), relation
+                                        in zip(tags, relations)], cubes, a.dim)
 
 
 def check_classic_laws(b, kind: str) -> LawReport:
@@ -272,8 +260,8 @@ def check_classic_laws(b, kind: str) -> LawReport:
         raise TypeError("expected GradedBasisAlgebra or FamilyBilinear")
     _ops(kind, RELATIONS[kind].generators, cubes, "the algebra")
     return _scan(LawReport(kind=f"classic_{kind}"),
-                 [(law_id, (), lhs, rhs) for law_id, lhs, rhs in _CLASSIC_LAWS[kind]],
-                 cubes, b.dim)
+                 [(law_id, (), relation) for law_id, relation
+                  in zip(_CLASSIC_LAWS[kind], RELATIONS[kind].relations)], cubes, b.dim)
 
 
 # ---------------------------------------------------------------------------

@@ -203,12 +203,15 @@ def _triples(t) -> bool:
 
 def _checked_leaves(t, what: str) -> list[int]:
     """The leaves of ``t``; ``PreconditionError`` unless every node is a triple
-    ``(gen, left, right)`` and every leaf a positive int."""
+    ``(gen, left, right)`` and the leaves are the ints 1..n, once each."""
     if not _triples(t):
         raise PreconditionError(f"{what} {t!r} has a node that is not a triple "
                                 "(generator, left, right)")
     leaves = term_leaves(t)
     _integers("leaf label", *leaves)
+    if sorted(leaves) != list(range(1, len(leaves) + 1)):
+        raise PreconditionError(f"{what} {serialize_term(t)} does not carry the leaves "
+                                f"1..{len(leaves)} once each")
     return leaves
 
 
@@ -289,11 +292,9 @@ class Presentation:
                     raise PreconditionError(f"relation member {serialize_term(t)} applies "
                                             f"{', '.join(map(repr, sorted(unknown)))}, "
                                             "which is not a generator")
-                planar_order = self.mode == "planar" and leaves != sorted(leaves)
-                if set(leaves) != set(range(1, len(leaves) + 1)) or planar_order:
+                if self.mode == "planar" and leaves != sorted(leaves):
                     raise PreconditionError(f"relation member {serialize_term(t)} does not "
-                                            f"carry the leaves 1..{len(leaves)} once each "
-                                            "or, in planar mode, left to right")
+                                            "carry its leaves left to right, as planar mode asks")
             if len({term_arity(t) for t in monomials(relation)}) > 1:
                 import warnings
                 warnings.warn("non-homogeneous relation class: the fixed-arity "

@@ -12,6 +12,7 @@ from __future__ import annotations
 import itertools
 import math
 from dataclasses import dataclass
+from typing import Callable, NamedTuple
 
 from . import presentations
 from .errors import LAW_BUDGET, PreconditionError, ResourceBoundError
@@ -285,27 +286,41 @@ def element_from_json(which: str, data: dict):
 
 
 # ---------------------------------------------------------------------------
-# Uniform access per operad name
+# One entry per operad name
+
+
+def _corolla_count(n: int) -> int:
+    """A corolla is a root and a set partition of the rest: n Bell(n - 1)."""
+    row = [1]  # a row of the Bell triangle
+    for _ in range(n - 1):
+        row = list(itertools.accumulate(row, initial=row[-1]))
+    return n * row[0]
+
+
+class _Operad(NamedTuple):
+    element: type                # the type of its elements
+    elements: Callable           # carrier -> the elements on it
+    compose: Callable            # (x, position, y) -> y plugged into x at the position
+    relabel: Callable            # (x, label map) -> x relabelled
+    mu: Callable                 # (left, right) -> the binary generator on the two labels
+    count: Callable              # n -> the number of elements on n labels, in closed form
+    to_perm: Callable | None     # x -> its perm point; None for perm itself
 
 
 _OPERADS = {
-    "pairs": (pair_elements, twist_compose, relabel_pair),
-    "corollas": (corolla_elements, corolla_compose, relabel_corolla),
-    "perm": (perm_elements, perm_compose, relabel_perm),
-    "orders": (order_elements, order_compose, relabel_order),
+    "pairs": _Operad(PairElement, pair_elements, twist_compose, relabel_pair,
+                     lambda a, b: PairElement(frozenset({a, b}), (a, b)),
+                     lambda n: 1 if n == 1 else n * (n - 1),
+                     lambda x: PermPoint(x.carrier, min(x.carrier) if x.is_unit else x.value[1])),
+    "corollas": _Operad(Corolla, corolla_elements, corolla_compose, relabel_corolla,
+                        lambda a, b: Corolla(b, frozenset({frozenset({a})})), _corolla_count,
+                        lambda x: PermPoint(x.carrier, x.root)),
+    "perm": _Operad(PermPoint, perm_elements, perm_compose, relabel_perm,
+                    lambda a, b: PermPoint(frozenset({a, b}), b), lambda n: n, None),
+    "orders": _Operad(LinearOrder, order_elements, order_compose, relabel_order,
+                      lambda a, b: LinearOrder((a, b)), math.factorial,
+                      lambda x: PermPoint(x.carrier, x.sequence[-1])),
 }
-
-
-def _mu(which: str, left_label, right_label):
-    if which == "pairs":
-        return PairElement(frozenset({left_label, right_label}), (left_label, right_label))
-    if which == "corollas":
-        return Corolla(right_label, frozenset({frozenset({left_label})}))
-    if which == "perm":
-        return PermPoint(frozenset({left_label, right_label}), right_label)
-    if which == "orders":
-        return LinearOrder((left_label, right_label))
-    raise ValueError(f"unknown operad {which!r}")
 
 
 def _fresh_labels(used: frozenset, n: int) -> list[str]:
@@ -327,27 +342,16 @@ def binary_product(which: str, x, y):
         return model_product(models[which], x, y)
     if which not in _OPERADS:
         raise TypeError(f"unknown operad {which!r}")
+    op = _OPERADS[which]
+    if not (isinstance(x, op.element) and isinstance(y, op.element)):
+        raise TypeError(f"{which} expects {op.element.__name__} operands")
     _require_disjoint(x.carrier, y.carrier)
-    compose = _OPERADS[which][1]
     left, right = _fresh_labels(x.carrier | y.carrier, 2)
-    return compose(compose(_mu(which, left, right), left, x), right, y)
+    return op.compose(op.compose(op.mu(left, right), left, x), right, y)
 
 
 # ---------------------------------------------------------------------------
 # Exhaustive law checks
-
-
-def _element_count(which: str, n: int) -> int:
-    """The number of elements on an ``n``-label carrier, in closed form;
-    a corolla is a root and a set partition of the rest, n Bell(n - 1)."""
-    if which == "pairs":
-        return 1 if n == 1 else n * (n - 1)
-    if which == "corollas":
-        row = [1]  # a row of the Bell triangle
-        for _ in range(n - 1):
-            row = list(itertools.accumulate(row, initial=row[-1]))
-        return n * row[0]
-    return n if which == "perm" else math.factorial(n)
 
 
 def _carriers(which: str, top: int):
@@ -358,7 +362,7 @@ def _carriers(which: str, top: int):
     for size in range(1, top + 1):
         for i, name in enumerate("abc"):
             carrier = frozenset(f"{name}{j}" for j in range(size))
-            elements[i, size] = _OPERADS[which][0](carrier)
+            elements[i, size] = _OPERADS[which].elements(carrier)
             positions[i, size] = sorted(carrier)
     return elements, positions
 
@@ -403,7 +407,8 @@ def check_operad_laws(which: str, max_size: int = 3) -> LawReport:
     if which not in _OPERADS:
         raise ValueError(f"unknown operad {which!r}")
     _integers("max_size", max_size)
-    elements_of, compose, relabel = _OPERADS[which]
+    op = _OPERADS[which]
+    compose, relabel = op.compose, op.relabel
     report = LawReport(kind=f"{which}_operad")
     per_carrier = which != "corollas"
     seq_cases: set = set()
@@ -420,7 +425,7 @@ def check_operad_laws(which: str, max_size: int = 3) -> LawReport:
 
     # The sizes counted so far bound the instances from below: an oversized check stops early.
     for cap in range(1, top + 1):
-        n = {s: _element_count(which, s) for s in range(1, cap + 1)}
+        n = {s: op.count(s) for s in range(1, cap + 1)}
         seq = sum(n[p] * p * n[q] * q * n[r] for p, q, r in size_triples(max_size, cap))
         par = sum(n[p] * p * (p - 1) * n[q] * n[r] for p, q, r in size_triples(top, cap))
         units = sum(n[s] * (s + 1) for s in range(1, min(cap, max_size) + 1))
@@ -465,7 +470,7 @@ def check_operad_laws(which: str, max_size: int = 3) -> LawReport:
                                 report.add("parallel", (repr(x), a, repr(y), a2, repr(z)))
 
     # Unit behavior: the singleton element swallows compositions.
-    for unit in elements_of(frozenset({"u0"})):
+    for unit in op.elements(frozenset({"u0"})):
         for s in range(1, max_size + 1):
             for y in elements[1, s]:
                 instances += 1
@@ -586,30 +591,22 @@ def psi_phi_roundtrip(max_arity: int = 4) -> LawReport:
 # Surjections onto the perm operad
 
 
-def _to_perm(which: str, x) -> PermPoint:
-    if which == "pairs":
-        value = next(iter(x.carrier)) if x.is_unit else x.value[1]
-        return PermPoint(x.carrier, value)
-    if which == "corollas":
-        return PermPoint(x.carrier, x.root)
-    return PermPoint(x.carrier, x.sequence[-1])
-
-
 def perm_surjection(which: str, max_size: int = 3) -> LawReport:
     """Verify that the candidate map to perm points commutes with every
     partial composition up to the bound and is surjective.  Over
     ``LAW_BUDGET`` instances, counted first, raise ``ResourceBoundError``."""
-    if which not in ("pairs", "corollas", "orders"):
+    op = _OPERADS.get(which)
+    if op is None or op.to_perm is None:
         raise ValueError(f"no perm map for {which!r}")
     _integers("max_size", max_size)
     # Each (x, a, y) is one instance: (sum of n_s * s) * (sum of n_s) in all.
     weighted = total = 0
     for s in range(1, max_size + 1):
-        n = _element_count(which, s)
+        n = op.count(s)
         weighted, total = weighted + n * s, total + n
         if weighted * total > LAW_BUDGET:
             raise ResourceBoundError(f"{which} at max {max_size}: over {LAW_BUDGET} instances")
-    compose = _OPERADS[which][1]
+    compose, to_perm = op.compose, op.to_perm
     elements, positions = _carriers(which, max_size)
     report = LawReport(kind=f"{which}_to_perm")
     instances = 0
@@ -619,11 +616,11 @@ def perm_surjection(which: str, max_size: int = 3) -> LawReport:
                 for a in positions[0, sa]:
                     for y in elements[1, sb]:
                         instances += 1
-                        lhs = _to_perm(which, compose(x, a, y))
-                        rhs = perm_compose(_to_perm(which, x), a, _to_perm(which, y))
+                        lhs = to_perm(compose(x, a, y))
+                        rhs = perm_compose(to_perm(x), a, to_perm(y))
                         if lhs != rhs:
                             report.add("morphism", (repr(x), a, repr(y)))
-        image = {_to_perm(which, x) for x in elements[0, sa]}
+        image = {to_perm(x) for x in elements[0, sa]}
         if image != set(perm_elements(positions[0, sa])):
             report.add("surjectivity", (sa,))
     report.details["instances"] = instances

@@ -17,7 +17,7 @@ import math
 import re
 from dataclasses import dataclass
 
-from .errors import ParseError, PreconditionError, ResourceBoundError
+from .errors import LAW_BUDGET, ParseError, PreconditionError, ResourceBoundError
 from .omega import _digits, _integers, _json_fields, _word
 
 Leaf = None
@@ -120,7 +120,7 @@ def tree_count(n: int, x_size: int, w: int, flavor: str = "single") -> int:
         raise ValueError("flavor must be 'single' or 'pair'")
     _integers("vertex count", n, low=0)
     _integers("x_size and w", x_size, w)
-    if n > 6 or expected_tree_count(n, x_size, w, flavor) > 500_000:
+    if n > 6 or expected_tree_count(n, x_size, w, flavor) > LAW_BUDGET:
         raise ResourceBoundError("tree enumeration bound exceeded")
     return expected_tree_count(n, x_size, w, flavor)
 

@@ -3,9 +3,11 @@ import hashlib
 import itertools
 import json
 import os
+import shlex
 import subprocess
 import sys
 import time
+from pathlib import Path
 
 import pytest
 from hypothesis import HealthCheck, given, settings
@@ -42,6 +44,27 @@ def run(capsys, argv):
     code = cli.main(argv)
     out, err = capsys.readouterr()
     return code, out, err
+
+
+def _readme_commands() -> list[str]:
+    """The ``famop`` commands of the first ``sh`` block under README's
+    "## Command line", each with its continuation lines joined."""
+    text = (Path(__file__).parent.parent / "README.md").read_text(encoding="utf-8")
+    section = text.split("\n## Command line\n", 1)[1]
+    block = section.split("```sh\n", 1)[1].split("```", 1)[0]
+    return [line for line in block.replace("\\\n", " ").splitlines() if line.strip()]
+
+
+def test_the_readme_commands_run(capsys, proj2_file):
+    commands = _readme_commands()
+    assert len(commands) == 10
+    for command in commands:
+        argv = shlex.split(command)
+        assert argv[0] == "famop"
+        argv = [proj2_file if arg == "omega.json" else arg for arg in argv[1:]]
+        code, out, err = run(capsys, argv)
+        assert code == 0, (command, err)
+        json.loads(out)
 
 
 def test_dims_r_pinned_output(capsys):

@@ -470,6 +470,19 @@ def test_graded_products_refuse_bad_colors_structures_and_leaf_trees():
         assert product(x, x, NON_EDUS).tree is not None  # the tables suffice, not the laws
 
 
+def test_graded_products_refuse_operands_that_are_not_graded_elements():
+    e, x = EDUS2[0], GradedElement(x_(), 0)
+    for product in (graded_prec, graded_succ):
+        for bad in (1, None, x_(), (x_(), 0), GradedElement("x", 0), GradedElement(1, 0),
+                    GradedElement((x_(),), 0)):
+            with pytest.raises(PreconditionError, match="GradedElement"):
+                product(bad, x, e)
+            with pytest.raises(PreconditionError, match="GradedElement"):
+                product(x, bad, e)
+        with pytest.raises(PreconditionError):
+            product(1, 2, e)
+
+
 def test_the_graded_report_serializes_each_element_once(monkeypatch):
     calls = []
     monkeypatch.setattr(duplicial, "serialize", lambda t: calls.append(t) or serialize(t))

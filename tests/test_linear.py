@@ -460,11 +460,11 @@ def test_every_law_is_homogeneous():
     def products(term):
         return 0 if isinstance(term, int) else 1 + products(term[1]) + products(term[2])
 
-    laws = [law for laws in linear._CLASSIC_LAWS.values() for law in laws]
-    laws += [law for laws, _ in linear._FAMILY_LAWS.values() for law in laws]
+    tables = [*linear._CLASSIC_LAWS.items(), *linear._FAMILY_LAWS.values()]
+    laws = [law for name, ids in tables for law in zip(ids, omega.RELATIONS[name].relations)]
     assert len(laws) == 16
-    for _, lhs, rhs in laws:
-        assert {products(term) for term, _ in lhs + rhs} == {2}
+    for _, relation in laws:
+        assert {products(term) for term, _ in relation} == {2}
 
 
 def test_a_law_of_mixed_degree_is_rejected(monkeypatch):
@@ -475,7 +475,7 @@ def test_a_law_of_mixed_degree_is_rejected(monkeypatch):
         mixed = omega.Presentation(("mul",), "planar", (relation,), "associative")
     monkeypatch.setitem(omega.RELATIONS, "mixed", mixed)
     with pytest.raises(ValueError, match="M1"):
-        linear._named(("M1",), "mixed")
+        linear._homogeneous(("mixed", ("M1",)))
 
 
 def test_graded_classic_laws_match_the_literal_restatement():

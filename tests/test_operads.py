@@ -95,6 +95,19 @@ def test_binary_product_model_dispatch():
         binary_product("twisted_monomials", NatMultiset(), NatMultiset())
 
 
+@pytest.mark.parametrize("which", ["pairs", "corollas", "perm", "orders"])
+def test_binary_product_refuses_operands_that_are_not_the_operads_elements(which):
+    on_b = {name: op.elements(frozenset({"b"}))[0] for name, op in operads._OPERADS.items()}
+    mine = operads._OPERADS[which].elements(frozenset({"a"}))[0]
+    others = [x for name, x in on_b.items() if name != which]
+    for bad in (*others, NatMultiset(), TwistedMonomial("d", "d"), 1, None, frozenset({"b"})):
+        with pytest.raises(TypeError, match=which):
+            binary_product(which, mine, bad)
+        with pytest.raises(TypeError, match=which):
+            binary_product(which, bad, mine)
+    assert binary_product(which, mine, on_b[which]).carrier == {"a", "b"}
+
+
 def test_twist_identity_for_pairs_at_small_sizes():
     carriers = [frozenset({"a1"}), frozenset({"b1", "b2"}),
                 frozenset({"c1", "c2", "c3"})]
@@ -152,17 +165,17 @@ def test_operad_law_bound():
 
 
 def test_element_counts_have_closed_forms():
-    for which, (elements_of, _, _) in operads._OPERADS.items():
+    for op in operads._OPERADS.values():
         for n in range(1, 8):
-            assert operads._element_count(which, n) == len(elements_of(frozenset(range(n))))
+            assert op.count(n) == len(op.elements(frozenset(range(n))))
 
 
 def test_operad_law_bound_is_checked_before_any_carrier_is_built(monkeypatch):
     def unbuildable(carrier):
         raise AssertionError("a carrier was built")
 
-    _, compose, relabel = operads._OPERADS["corollas"]
-    monkeypatch.setitem(operads._OPERADS, "corollas", (unbuildable, compose, relabel))
+    monkeypatch.setitem(operads._OPERADS, "corollas",
+                        operads._OPERADS["corollas"]._replace(elements=unbuildable))
     start = time.perf_counter()
     with pytest.raises(ResourceBoundError):
         check_operad_laws("corollas", 9)
@@ -172,7 +185,7 @@ def test_operad_law_bound_is_checked_before_any_carrier_is_built(monkeypatch):
 def _literal_associativity(which, max_size, compose):
     """The sequential and parallel witnesses of ``check_operad_laws``, every
     composition made afresh for every instance."""
-    elements_of = operads._OPERADS[which][0]
+    elements_of = operads._OPERADS[which].elements
     top = max_size + (which == "pairs")
 
     def carriers(first_top):
@@ -241,8 +254,7 @@ WRONG = (_swapped_when_plugged_at_the_head, _star_when_plugged_at_the_root,
     ("orders", 3, order_compose),
 ])
 def test_hoisted_scan_matches_the_literal_scan(monkeypatch, which, max_size, compose):
-    elements_of, _, relabel = operads._OPERADS[which]
-    monkeypatch.setitem(operads._OPERADS, which, (elements_of, compose, relabel))
+    monkeypatch.setitem(operads._OPERADS, which, operads._OPERADS[which]._replace(compose=compose))
     report = check_operad_laws(which, max_size)
     expected = _literal_associativity(which, max_size, compose)
     assert [w for w in report.witnesses if w[0] in ("sequential", "parallel")] == expected
@@ -252,7 +264,7 @@ def test_hoisted_scan_matches_the_literal_scan(monkeypatch, which, max_size, com
 @pytest.mark.parametrize("which,max_size", [("pairs", 3), ("corollas", 5)])
 def test_each_distinct_composition_is_made_once_per_first_factor(monkeypatch, which,
                                                                  max_size):
-    elements_of, compose, relabel = operads._OPERADS[which]
+    compose = operads._OPERADS[which].compose
     received = []
 
     def recording(x, a, y):
@@ -267,7 +279,7 @@ def test_each_distinct_composition_is_made_once_per_first_factor(monkeypatch, wh
         scopes.append(seen)
         return make_table(lambda x, a, y: seen.append((x, a, y)) or compose(x, a, y), elements)
 
-    monkeypatch.setitem(operads._OPERADS, which, (elements_of, recording, relabel))
+    monkeypatch.setitem(operads._OPERADS, which, operads._OPERADS[which]._replace(compose=recording))
     monkeypatch.setattr(operads, "_CompositionTable", scoped_table)
     assert check_operad_laws(which, max_size).passed
     literal = set()

@@ -161,6 +161,33 @@ def test_a_malformed_term_is_refused_with_a_precondition_error(bad):
         ColoredTerm(bad, (0, 0), 0)
 
 
+@pytest.mark.parametrize("bad", [("f", 1, 1), ("f", 1, 3), ("f", 2, 3), ("f", ("g", 1, 3), 3),
+                                 ("f", ("g", 1, 2), 2)])
+def test_a_term_whose_leaves_are_not_1_to_n_once_each_is_refused(bad):
+    with pytest.raises(PreconditionError, match="once each"):
+        compose_terms(bad, 1, ("g", 1, 2))
+    with pytest.raises(PreconditionError, match="once each"):
+        compose_terms(("g", 1, 2), 1, bad)
+    with pytest.raises(PreconditionError, match="once each"):
+        ColoredTerm(bad, (0,) * term_arity(bad), 0)
+    with pytest.raises(PreconditionError, match="once each"):
+        Presentation(["f", "g"], "labeled", [[(bad, 1), (bad, 1)]])
+    # the repeated-leaf composite that the composition used to return
+    with pytest.raises(PreconditionError):
+        compose_terms(("f", 1, 2), 1, ("g", 1, 3))
+
+
+def test_labeled_terms_with_their_leaves_in_any_order_are_accepted():
+    for term in (("f", 2, 1), ("f", ("g", 3, 1), 2), ("f", 3, ("g", 2, 1))):
+        n = term_arity(term)
+        assert ColoredTerm(term, (0,) * n, 0).term == term
+        assert compose_terms(term, 1, ("g", 2, 1)) == _literal_compose(term, 1, ("g", 2, 1))
+        assert compose_terms(("g", 2, 1), 2, term) == _literal_compose(("g", 2, 1), 2, term)
+        Presentation(["f", "g"], "labeled", [[(term, 1), (term, 1)]])
+        with pytest.raises(PreconditionError, match="left to right"):
+            Presentation(["f", "g"], "planar", [[(term, 1), (term, 1)]])
+
+
 def test_colored_compose_matching_and_mismatch():
     x = ColoredTerm(("f", 1, 2), (0, 1), 0)
     y = ColoredTerm(("g", 1, 2), (1, 1), 1)
