@@ -126,19 +126,26 @@ def _require_kind(o: OmegaStructure, kind: str):
                                 f"{'extended ' * (kind == 'edus')}duplicial laws")
 
 
-def _require_operands(o: OmegaStructure, kind: str, edge, *ts):
-    """Non-leaf operands ``ts``, a structure of ``kind``, and the new edge's type
-    ``edge`` and every edge type of ``ts`` of the product's flavor (an int pair
-    for ``duplicial``, an int for ``edus``) with values in 0..size-1."""
+def _require_operands(o: OmegaStructure, kind: str, edges, *ts, laws: bool = True):
+    """Non-leaf operands ``ts``, a structure with the tables of ``kind`` that
+    passes its laws when ``laws`` is set, and the new ``edges`` and every edge
+    type of ``ts`` of the product's flavor (an int pair for ``duplicial``, an
+    int for ``edus``) with values in 0..size-1."""
     if any(t is None for t in ts):
         raise PreconditionError("products are defined on non-leaf trees only")
-    _require_kind(o, kind)
+    if laws:
+        _require_kind(o, kind)
+    else:
+        _tables_of(o, kind)
     pair = kind == "duplicial"
-    types, stack = [edge], list(ts)
-    while stack:
-        t = stack.pop()
-        types += [e for e in (t.lt, t.rt) if e is not None]
-        stack += [c for c in (t.left, t.right) if c is not None]
+    types, nodes = list(edges), list(ts)
+    for t in nodes:  # the list grows by each node's children: every node once
+        if t.left is not None:
+            types.append(t.lt)
+            nodes.append(t.left)
+        if t.right is not None:
+            types.append(t.rt)
+            nodes.append(t.right)
     for e in types:
         if isinstance(e, tuple) != pair or pair and len(e) != 2:
             raise PreconditionError(f"edge type {e} is not an int{' pair' * pair}")
@@ -149,27 +156,27 @@ def _require_operands(o: OmegaStructure, kind: str, edge, *ts):
 def prec2(s: Node, t: Node, alpha: int, beta: int, o: OmegaStructure) -> Node:
     """Graft t at the rightmost leaf of s; new edge typed (alpha, beta),
     s edges (w, u) -> (w, u <- beta), t edges (w, u) -> (alpha <- w, u)."""
-    _require_operands(o, "duplicial", (alpha, beta), s, t)
+    _require_operands(o, "duplicial", [(alpha, beta)], s, t)
     return _prec2_raw(s, t, alpha, beta, o)
 
 
 def succ2(s: Node, t: Node, alpha: int, beta: int, o: OmegaStructure) -> Node:
     """Graft s at the leftmost leaf of t; new edge typed (alpha, beta),
     t edges (w, u) -> (alpha -> w, u), s edges (w, u) -> (w, u -> beta)."""
-    _require_operands(o, "duplicial", (alpha, beta), s, t)
+    _require_operands(o, "duplicial", [(alpha, beta)], s, t)
     return _succ2_raw(s, t, alpha, beta, o)
 
 
 def prec1(t: Node, u: Node, omega: int, e: OmegaStructure) -> Node:
     """One-parameter left product on single-typed trees over an extended
     duplicial semigroup."""
-    _require_operands(e, "edus", omega, t, u)
+    _require_operands(e, "edus", [omega], t, u)
     return _prec1_raw(t, omega, u, e)
 
 
 def succ1(t: Node, u: Node, omega: int, e: OmegaStructure) -> Node:
     """One-parameter right product on single-typed trees."""
-    _require_operands(e, "edus", omega, t, u)
+    _require_operands(e, "edus", [omega], t, u)
     return _succ1_raw(t, omega, u, e)
 
 
@@ -375,11 +382,12 @@ class GradedElement:
 
 def _graded_node(gen: str, x: GradedElement, y: GradedElement, e: OmegaStructure):
     """The graded product ``gen`` of graded elements on non-leaf trees, colors
-    in 0..size-1, over a structure with the four extended duplicial tables."""
-    _tables_of(e, "edus")
+    and edge types in 0..size-1, over a structure with the four extended
+    duplicial tables, whether or not it passes their laws."""
     if not (isinstance(x, GradedElement) and isinstance(y, GradedElement) and
             isinstance(x.tree, Node) and isinstance(y.tree, Node)):
         raise PreconditionError("graded products take GradedElements holding non-leaf trees")
+    _require_operands(e, "edus", [], x.tree, y.tree, laws=False)
     _integers("color", x.color, y.color, low=0, high=e.size - 1)
     return GradedElement(*_node("graded", gen, x.tree, x.color, y.tree, y.color, e))
 

@@ -5,8 +5,9 @@ symbol and every parameter pair, a d x d x d array of structure
 constants: ``c[i][j][k]`` is the coefficient of basis vector k in the
 product of basis vectors i and j.  The constants are Fractions, but the
 law scan runs on the cubes times L, the lcm of their denominators: every
-monomial of a law has d product nodes, so each integer side is exactly L^d
-times its rational value.
+monomial of a law has d product nodes (``omega.Presentation`` refuses a
+relation of mixed arity), so each integer side is exactly L^d times its
+rational value.
 
 One scan checks signed relations between terms in x, y, z over all basis
 triples: a classical law is a relation of ``omega.RELATIONS``, a family law
@@ -24,7 +25,7 @@ from operator import add, neg, sub
 
 from . import omega as omega_mod
 from .errors import PreconditionError
-from .omega import RELATIONS, _integers, monomials, subterms, term_arity
+from .omega import RELATIONS, _integers, monomials, subterms
 from .report import LawReport
 
 Vec = tuple  # coefficient tuple over the basis
@@ -51,11 +52,12 @@ def _basis(dim: int, i: int, number=Fraction) -> Vec:
 def _freeze_cube(raw, dim: int):
     try:
         cube = tuple(tuple(tuple(Fraction(v) for v in row) for row in plane) for plane in raw)
-    except (TypeError, OverflowError):
-        raise ValueError(f"structure constants must form a {dim}^3 array of numbers") from None
+    except (TypeError, ValueError, ArithmeticError):  # Fraction("x"), nan, inf, "1/0"
+        raise PreconditionError(f"structure constants must form a {dim}^3 array "
+                                "of numbers") from None
     if len(cube) != dim or any(len(p) != dim for p in cube) or \
             any(len(r) != dim for p in cube for r in p):
-        raise ValueError(f"structure constants must form a {dim}^3 array")
+        raise PreconditionError(f"structure constants must form a {dim}^3 array")
     return cube
 
 
@@ -75,8 +77,8 @@ class FamilyBilinear:
             frozen[name] = {tuple(p): _freeze_cube(cube, self.dim)
                             for p, cube in by_param.items()}
             if set(frozen[name]) != params:
-                raise ValueError(f"operation {name!r} must carry one table per "
-                                 f"parameter pair")
+                raise PreconditionError(f"operation {name!r} must carry one table per "
+                                        f"parameter pair")
         self.ops = frozen
 
     def cube(self, op: str, param):
@@ -165,16 +167,6 @@ _FAMILY_LAWS = {"dendriform2": ("dendriform", ("F1", "F2", "F3")), "prelie2": ("
                 "assoc_family": ("associative", ("FA",)), "twisted_family": ("twist", ("FT",)),
                 "napnap_family": ("napnap", ("FN1", "FN2"))}
 
-
-def _homogeneous(*laws) -> None:
-    """``ValueError`` naming any law of each ``(name, ids)`` that mixes degrees."""
-    for name, ids in laws:
-        for law_id, relation in zip(ids, RELATIONS[name].relations):
-            if len({term_arity(term) for term in monomials(relation)}) != 1:
-                raise ValueError(f"law {law_id} mixes monomials of different degrees")
-
-
-_homogeneous(*_CLASSIC_LAWS.items(), *_FAMILY_LAWS.values())
 
 _GRADED_KINDS = ("dendriform", "duplicial", "prelie")
 

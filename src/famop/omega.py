@@ -91,7 +91,7 @@ class OmegaStructure:
         object.__setattr__(self, "left_arrow", _freeze_table(self.left_arrow, self.size))
         object.__setattr__(self, "right_arrow", _freeze_table(self.right_arrow, self.size))
         if (self.left_tri is None) != (self.right_tri is None):
-            raise ValueError("triangle tables must be both present or both absent")
+            raise PreconditionError("triangle tables must be both present or both absent")
         if self.left_tri is not None:
             object.__setattr__(self, "left_tri", _freeze_table(self.left_tri, self.size))
             object.__setattr__(self, "right_tri", _freeze_table(self.right_tri, self.size))
@@ -256,12 +256,12 @@ class Presentation:
     """Binary generators and signed relations over terms with leaves 1..n.
 
     A term is a leaf label or a tuple ``(gen, left, right)``.  A relation is
-    a tuple of members ``(term, sign)``, read as: the first member equals
-    the signed sum of the rest; the set quotient identifies all members.  A
-    registry entry also names the parameter kind ``kind`` it defines, on
-    which every member of a relation evaluates alike: its laws ``(id,
-    relation, i, j)`` say that member i equals member j, read in the tables
-    that ``GENERATOR_OPS`` assigns to the generators.
+    a tuple of members ``(term, sign)`` of one arity, read as: the first
+    member equals the signed sum of the rest; the set quotient identifies all
+    members.  A registry entry also names the parameter kind ``kind`` it
+    defines, on which every member of a relation evaluates alike: its laws
+    ``(id, relation, i, j)`` say that member i equals member j, read in the
+    tables that ``GENERATOR_OPS`` assigns to the generators.
     """
 
     generators: tuple
@@ -272,7 +272,7 @@ class Presentation:
 
     def __post_init__(self):
         if self.mode not in ("planar", "labeled"):
-            raise ValueError("mode must be 'planar' or 'labeled'")
+            raise PreconditionError("mode must be 'planar' or 'labeled'")
         object.__setattr__(self, "generators", tuple(self.generators))
         for i, g in enumerate(self.generators):
             if not _word(g):
@@ -295,11 +295,10 @@ class Presentation:
                 if self.mode == "planar" and leaves != sorted(leaves):
                     raise PreconditionError(f"relation member {serialize_term(t)} does not "
                                             "carry its leaves left to right, as planar mode asks")
-            if len({term_arity(t) for t in monomials(relation)}) > 1:
-                import warnings
-                warnings.warn("non-homogeneous relation class: the fixed-arity "
-                              "closure may be a proper refinement of the set "
-                              "operadic equivalence", stacklevel=2)
+            arities = sorted({term_arity(t) for t in monomials(relation)})
+            if len(arities) > 1:
+                raise PreconditionError(f"the relation of {serialize_term(relation[0][0])} mixes "
+                                        f"the arities {arities}; each relation needs one")
 
     def to_json(self) -> dict:
         """Members as text, a member of sign -1 with a leading ``-``."""

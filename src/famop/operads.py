@@ -45,11 +45,11 @@ class PairElement:
         object.__setattr__(self, "carrier", frozenset(self.carrier))
         if self.value is None:
             if len(self.carrier) != 1:
-                raise ValueError("the unit lives on singleton carriers only")
+                raise PreconditionError("the unit lives on singleton carriers only")
         else:
             a, b = self.value
             if a == b or a not in self.carrier or b not in self.carrier:
-                raise ValueError("value must be a non-diagonal pair of carrier labels")
+                raise PreconditionError("value must be a non-diagonal pair of carrier labels")
             object.__setattr__(self, "value", (a, b))
 
     @property
@@ -108,9 +108,9 @@ class Corolla:
         seen: set = {self.root}
         for b in branches:
             if not b:
-                raise ValueError("branches must be nonempty")
+                raise PreconditionError("branches must be nonempty")
             if b & seen:
-                raise ValueError("branches must be disjoint and avoid the root")
+                raise PreconditionError("branches must be disjoint and avoid the root")
             seen |= b
         object.__setattr__(self, "branches", branches)
 
@@ -176,7 +176,7 @@ class PermPoint:
     def __post_init__(self):
         object.__setattr__(self, "carrier", frozenset(self.carrier))
         if self.value not in self.carrier:
-            raise ValueError("value must belong to the carrier")
+            raise PreconditionError("value must belong to the carrier")
 
 
 def perm_elements(carrier) -> list[PermPoint]:
@@ -206,7 +206,7 @@ class LinearOrder:
     def __post_init__(self):
         seq = tuple(self.sequence)
         if len(set(seq)) != len(seq) or not seq:
-            raise ValueError("a linear order lists distinct labels, at least one")
+            raise PreconditionError("a linear order lists distinct labels, at least one")
         object.__setattr__(self, "sequence", seq)
 
     @property
@@ -413,7 +413,6 @@ def check_operad_laws(which: str, max_size: int = 3) -> LawReport:
     per_carrier = which != "corollas"
     seq_cases: set = set()
     par_cases: set = set()
-    instances = 0
     top = max_size + (1 if which == "pairs" else 0)
 
     def size_triples(first_top: int, cap: int = top):
@@ -445,7 +444,6 @@ def check_operad_laws(which: str, max_size: int = 3) -> LawReport:
                         if which == "pairs" and not x.is_unit and not y.is_unit:
                             seq_cases.add((_pair_case(a, x.value), _pair_case(b, y.value)))
                         for zi, z in enumerate(zs, len(ys) + 1):
-                            instances += 1
                             if comp[xy, b, zi] != comp[0, a, comp[yi, b, zi]]:
                                 report.add("sequential", (repr(x), a, repr(y), b, repr(z)))
 
@@ -465,7 +463,6 @@ def check_operad_laws(which: str, max_size: int = 3) -> LawReport:
                     for yi, y in enumerate(ys, 1):
                         xy = comp[0, a, yi]
                         for zi, z in enumerate(zs, len(ys) + 1):
-                            instances += 1
                             if comp[xy, a2, zi] != comp[comp[0, a2, zi], a, yi]:
                                 report.add("parallel", (repr(x), a, repr(y), a2, repr(z)))
 
@@ -473,12 +470,10 @@ def check_operad_laws(which: str, max_size: int = 3) -> LawReport:
     for unit in op.elements(frozenset({"u0"})):
         for s in range(1, max_size + 1):
             for y in elements[1, s]:
-                instances += 1
                 if compose(unit, "u0", y) != y:
                     report.add("left_unit", (repr(unit), repr(y)))
             for x in elements[0, s]:
                 for a in positions[0, s]:
-                    instances += 1
                     expected = relabel(x, {v: ("u0" if v == a else v)
                                            for v in x.carrier})
                     if compose(x, a, unit) != expected:
@@ -497,7 +492,6 @@ def check_operad_laws(which: str, max_size: int = 3) -> LawReport:
                         targets = [f"m{i}" for i in range(len(labels))]
                         for perm in itertools.permutations(targets):
                             phi = dict(zip(labels, perm))
-                            instances += 1
                             lhs = relabel(composed, phi)
                             phi_x = {v: phi[v] for v in x.carrier if v != a}
                             phi_x[a] = "hole"
@@ -508,7 +502,10 @@ def check_operad_laws(which: str, max_size: int = 3) -> LawReport:
     if which == "pairs":
         report.details["seq_cases"] = len(seq_cases)
         report.details["par_cases"] = len(par_cases)
-    report.details["instances"] = instances
+    # The budget's count at the last cap, plus each relabel scan's (p + q - 1)! permutations.
+    report.details["instances"] = seq + par + units + sum(
+        n[p] * p * n[q] * math.factorial(p + q - 1)
+        for p in range(1, min(top, 2) + 1) for q in range(1, min(top, 2) + 1))
     return report
 
 
@@ -608,14 +605,12 @@ def perm_surjection(which: str, max_size: int = 3) -> LawReport:
             raise ResourceBoundError(f"{which} at max {max_size}: over {LAW_BUDGET} instances")
     compose, to_perm = op.compose, op.to_perm
     elements, positions = _carriers(which, max_size)
-    report = LawReport(kind=f"{which}_to_perm")
-    instances = 0
+    report = LawReport(kind=f"{which}_to_perm", details={"instances": weighted * total})
     for sa in range(1, max_size + 1):
         for sb in range(1, max_size + 1):
             for x in elements[0, sa]:
                 for a in positions[0, sa]:
                     for y in elements[1, sb]:
-                        instances += 1
                         lhs = to_perm(compose(x, a, y))
                         rhs = perm_compose(to_perm(x), a, to_perm(y))
                         if lhs != rhs:
@@ -623,5 +618,4 @@ def perm_surjection(which: str, max_size: int = 3) -> LawReport:
         image = {to_perm(x) for x in elements[0, sa]}
         if image != set(perm_elements(positions[0, sa])):
             report.add("surjectivity", (sa,))
-    report.details["instances"] = instances
     return report

@@ -8,15 +8,15 @@ right; in labeled mode they carry an arbitrary bijective labeling.
 A presentation (``omega.Presentation``) identifies, inside every term and
 under every substitution of subtrees for pattern variables, all members of
 each relation; the induced partition at a fixed arity is computed by
-union-find over one-step rewrites, which is exact for arity-homogeneous
-relations.
+union-find over one-step rewrites, which is exact because the members of a
+relation share one arity.
 """
 from __future__ import annotations
 
 import itertools
 from dataclasses import dataclass
 
-from .errors import MixingConsistencyError, ResourceBoundError
+from .errors import MixingConsistencyError, PreconditionError, ResourceBoundError
 from .omega import (RELATIONS, Presentation, _checked_leaves, _digits, _freeze_table, _integers,
                     eval_term, first_violation, law_term, monomials, serialize_term, substitute,
                     tables_by_op, term_arity, term_leaves)
@@ -127,7 +127,8 @@ def _rewrites(t: Term, swaps) -> list[Term]:
 
 def partition_terms(terms, relations) -> list[list[Term]]:
     """Connected components of the one-step rewrite graph on ``terms``,
-    each sorted, the list sorted by class representative."""
+    each sorted, the list sorted by class representative;
+    ``PreconditionError`` unless ``terms`` is closed under the rewrites."""
     index = {t: i for i, t in enumerate(terms)}
     parent = list(range(len(terms)))
 
@@ -148,7 +149,8 @@ def partition_terms(terms, relations) -> list[list[Term]]:
         for r in _rewrites(t, swaps):
             j = index.get(r)
             if j is None:
-                raise AssertionError(f"rewrite left the arity slice: {serialize_term(r)}")
+                raise PreconditionError(f"the terms are not closed under the relations: "
+                                        f"{serialize_term(t)} rewrites to {serialize_term(r)}")
             union(i, j)
     groups: dict = {}
     for t in terms:
@@ -185,8 +187,9 @@ class ColoredTerm:
 
     def __post_init__(self):
         object.__setattr__(self, "input_colors", tuple(self.input_colors))
+        _integers("color", *self.input_colors, self.output_color, low=0)
         if len(self.input_colors) != len(_checked_leaves(self.term, "term")):
-            raise ValueError("one input color per leaf required")
+            raise PreconditionError("one input color per leaf required")
 
 
 def colored_compose(x: ColoredTerm, a: int, y: ColoredTerm) -> ColoredTerm | None:

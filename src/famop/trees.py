@@ -38,18 +38,18 @@ class Node:
 
     def __post_init__(self):
         if (self.lt is None) != (self.left is None):
-            raise ValueError("left edge type must be the sentinel exactly when "
-                             "the left child is a leaf")
+            raise PreconditionError("left edge type must be the sentinel exactly when "
+                                    "the left child is a leaf")
         if (self.rt is None) != (self.right is None):
-            raise ValueError("right edge type must be the sentinel exactly when "
-                             "the right child is a leaf")
+            raise PreconditionError("right edge type must be the sentinel exactly when "
+                                    "the right child is a leaf")
         # A child was checked when it was built, so its own edge types carry
         # its flavor.  A pair sits with pairs only; single types may differ.
         l, r = self.left, self.right
         kinds = set(map(type, (self.lt, self.rt, l and l.lt, l and l.rt, r and r.lt, r and r.rt)))
         kinds.discard(type(None))
         if tuple in kinds and len(kinds) > 1:
-            raise ValueError("mixed single and pair edge types in one tree")
+            raise PreconditionError("mixed single and pair edge types in one tree")
 
 
 Tree = Node | None

@@ -470,6 +470,22 @@ def test_graded_products_refuse_bad_colors_structures_and_leaf_trees():
         assert product(x, x, NON_EDUS).tree is not None  # the tables suffice, not the laws
 
 
+def test_graded_products_check_every_edge_type_whatever_the_laws():
+    # The edge-type walk of prec1/succ1, without their law guard.
+    x = GradedElement(x_(), 0)
+    deep = GradedElement(parse("(x . 1 _ (y 0 . (z . . _ _) _))"), 1)
+    for structure in (EDUS2[0], NON_EDUS):
+        for product in (graded_prec, graded_succ):
+            assert product(deep, x, structure).tree is not None
+            for text in ("(x 7 . (y . . _ _) _)", "(x . 0 _ (y 2 . (z . . _ _) _))",
+                         "(x 0:1 . (y . . _ _) _)"):
+                bad = GradedElement(parse(text), 0)
+                with pytest.raises(PreconditionError, match="edge type"):
+                    product(bad, x, structure)
+                with pytest.raises(PreconditionError, match="edge type"):
+                    product(x, bad, structure)
+
+
 def test_graded_products_refuse_operands_that_are_not_graded_elements():
     e, x = EDUS2[0], GradedElement(x_(), 0)
     for product in (graded_prec, graded_succ):

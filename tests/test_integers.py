@@ -64,6 +64,10 @@ _SITES = [
     ("enumerate_terms", lambda v: presentations.enumerate_terms(_DUP, v), 1, None),
     ("input color", lambda v: presentations.mixing_filter(_DUP, _TABLES, 2, (0, v), 0), 0, 1),
     ("output color", lambda v: presentations.mixing_filter(_DUP, _TABLES, 2, (0, 1), v), 0, 1),
+    ("ColoredTerm input color", lambda v: presentations.ColoredTerm(("f", 1, 2), (0, v), 0),
+     0, None),
+    ("ColoredTerm output color", lambda v: presentations.ColoredTerm(("f", 1, 2), (0, 1), v),
+     0, None),
     ("colored_compose", lambda v: presentations.colored_compose(_COLORED, v, _COLORED), 1, 2),
     ("compose_terms", lambda v: presentations.compose_terms(("f", 1, 2), v, ("g", 1, 2)), 1, 2),
     ("catalan", lambda v: trees.catalan(v), 1, None),

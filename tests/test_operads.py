@@ -156,6 +156,12 @@ def test_operad_laws_pairs_4():
     assert report.details["instances"] == 363558
 
 
+def test_operad_law_instances_are_the_budget_count_plus_the_relabel_scan():
+    # seq + par + units + sum n_p p n_q (p + q - 1)! over p, q <= min(top, 2)
+    assert [check_operad_laws(which, 3).details["instances"]
+            for which in ("pairs", "corollas", "perm", "orders")] == [19758, 94, 2049, 8094]
+
+
 def test_operad_law_bound():
     with pytest.raises(ValueError):
         check_operad_laws("perm", 0)

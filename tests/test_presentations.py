@@ -432,15 +432,22 @@ def test_relation_members_over_unknown_generators_are_refused(member):
         Presentation(["f"], "planar", [[(("f", 1, 2), 1), (member, 1)]])
 
 
-def test_non_homogeneous_relations_warn():
-    plain = Presentation(["f"], "planar", [])
+def test_non_homogeneous_relations_are_refused():
+    # The fixed-arity closure would silently ignore such a relation.
     for relation in ([(("f", 1, 2), 1), (("f", ("f", 1, 2), 3), 1)],
                      [(("f", ("f", 1, 2), 3), 1), (("f", 1, 2), 1)]):
-        with pytest.warns(UserWarning):
-            p = Presentation(["f"], "planar", [relation])
-        # Members on different leaf sets never join two terms of one arity.
-        assert [quotient_classes(p, n) for n in (1, 2, 3)] == \
-            [quotient_classes(plain, n) for n in (1, 2, 3)]
+        with pytest.raises(PreconditionError, match=r"arities \[2, 3\]"):
+            Presentation(["f"], "planar", [relation])
+        data = {"generators": ["f"], "mode": "planar",
+                "relations": [[serialize_term(t) for t, _ in relation]]}
+        with pytest.raises(PreconditionError, match=r"arities \[2, 3\]"):
+            Presentation.from_json(data)
+
+
+def test_partition_terms_refuses_terms_not_closed_under_the_relations():
+    with pytest.raises(PreconditionError,
+                       match=r"\(mul \(mul 1 2\) 3\) rewrites to \(mul 1 \(mul 2 3\)\)"):
+        partition_terms([("mul", ("mul", 1, 2), 3)], preset("associative").relations)
 
 
 def test_a_preset_is_its_registry_entry():
